@@ -1,18 +1,20 @@
 #!/usr/bin/env bash
 # Tier-1 check: build and run the full test suite, validate the
 # microbench JSON schema, gate end-to-end simulator throughput against
-# the committed BENCH_core.json, then rebuild twice more: once with
-# -DTRANSFW_OBS=OFF (observability compiled out entirely) and once with
-# AddressSanitizer + UBSan, where the obs::Checks invariant watchdog is
-# promoted to a hard abort (TRANSFW_OBS_STRICT) — a single attribution
-# or span-nesting violation anywhere in the suite fails the gate — and
-# finally with ThreadSanitizer, which races the per-GPU lane kernel's
-# parallel-vs-serial bit-identity tests under every lane count.
-# In between, the run-ledger gate replays a small config matrix through
+# the committed BENCH_core.json, then rebuild three more times: once
+# with -DTRANSFW_OBS=OFF (observability compiled out entirely), once
+# with AddressSanitizer + UBSan, where the obs::Checks invariant
+# watchdog is promoted to a hard abort (TRANSFW_OBS_STRICT) — a single
+# attribution or span-nesting violation anywhere in the suite fails
+# the gate — and once with ThreadSanitizer, which races the
+# SweepRunner's worker threads (the one place the simulator runs
+# threads: whole simulations in parallel).
+# In between, the run-ledger gate replays a config matrix through
 # ./build/examples/simulate into a fresh transfw-ledger-v1 JSONL file,
-# validates the schema, and diffs it against the committed
-# LEDGER_golden.jsonl with compare_runs — any deterministic metric that
-# moved fails the gate; wall-clock fields only warn.
+# validates the schema, checks the fabric invariants (per-hop sums ==
+# buckets, watchdog clean), and diffs the ledger against the committed
+# LEDGER_golden.jsonl with compare_runs — any deterministic metric
+# that moved fails the gate; wall-clock fields only warn.
 # Usage:
 #
 #   scripts/check.sh                  # plain + no-obs + sanitizer pass
@@ -22,9 +24,10 @@
 # Environment:
 #   TRANSFW_SKIP_PERF_GATE=1    # skip the events/sec regression gate
 #                               # (shared/loaded machines)
-#   TRANSFW_SKIP_LEDGER_GATE=1  # skip the run-ledger regression gate
+#   TRANSFW_SKIP_LEDGER_GATE=1  # skip the diff against LEDGER_golden.jsonl
+#                               # (the fabric invariants still run)
 #   TRANSFW_SKIP_TSAN=1         # skip the ThreadSanitizer build+test pass
-#   TRANSFW_JOBS=N              # lane/worker count for the parallel bits
+#   TRANSFW_JOBS=N              # worker count for the parallel bits
 #
 # Exit code is non-zero when any build, test, schema check or gate
 # fails.
@@ -48,14 +51,14 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "== microbench smoke (BENCH_core.json schema v3) =="
+echo "== microbench smoke (BENCH_core.json schema v4) =="
 SMOKE_JSON=$(mktemp /tmp/bench_core_smoke.XXXXXX.json)
 ./build/bench/bench_micro_structures --json "$SMOKE_JSON" --smoke
 if command -v python3 >/dev/null 2>&1; then
     python3 - "$SMOKE_JSON" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "transfw-bench-core-v3", doc.get("schema")
+assert doc["schema"] == "transfw-bench-core-v4", doc.get("schema")
 for section, fields in {
     "event_kernel": ["legacy_events_per_sec", "fast_events_per_sec",
                      "speedup"],
@@ -71,9 +74,6 @@ for section, fields in {
                      "single_pass_probes_per_sec", "speedup"],
     "sweep": ["serial_seconds", "parallel_seconds", "parallel_jobs",
               "degraded", "identical_results"],
-    "parallel_kernel": ["hardware_threads", "degraded", "lanes",
-                        "serial_events_per_sec", "lane_events_per_sec",
-                        "speedup", "sweep", "identical_results"],
     "pod_scaling": ["app", "config", "scale", "host_shards",
                     "hardware_threads", "degraded", "points"],
     "sim_end_to_end": ["rate_scale", "rate_wall_seconds",
@@ -82,16 +82,6 @@ for section, fields in {
     for f in fields:
         assert f in doc[section], f"{section}.{f} missing"
 assert doc["sweep"]["identical_results"] is True
-assert doc["parallel_kernel"]["identical_results"] is True
-assert doc["parallel_kernel"]["lanes"] >= 1
-curve = doc["parallel_kernel"]["sweep"]
-assert isinstance(curve, list) and curve, "empty lanes sweep"
-for point in curve:
-    for f in ("lanes", "wall_seconds", "events_per_sec", "speedup",
-              "identical"):
-        assert f in point, f"parallel_kernel.sweep[].{f} missing"
-    assert point["identical"] is True, \
-        f"lane count {point['lanes']} diverged from serial"
 pod = doc["pod_scaling"]["points"]
 assert isinstance(pod, list) and pod, "empty pod_scaling points"
 topos = set()
@@ -107,7 +97,7 @@ assert doc["peak_rss_bytes"] > 0
 print("BENCH_core.json schema OK")
 EOF
 else
-    grep -q '"schema": "transfw-bench-core-v3"' "$SMOKE_JSON"
+    grep -q '"schema": "transfw-bench-core-v4"' "$SMOKE_JSON"
     grep -q '"pod_scaling"' "$SMOKE_JSON"
     grep -q '"identical_results": true' "$SMOKE_JSON"
     grep -q '"sim_end_to_end"' "$SMOKE_JSON"
@@ -136,27 +126,6 @@ print(f"events/sec now {now:.0f} vs committed {ref:.0f} "
 if now < floor:
     sys.exit("perf gate FAILED: >20% below the committed rate "
              "(set TRANSFW_SKIP_PERF_GATE=1 on shared machines)")
-# The lane kernel must keep producing results bit-identical to the
-# serial kernel; that part is machine-independent and always gated.
-lanes = json.load(open(sys.argv[1]))["parallel_kernel"]
-if not lanes["identical_results"]:
-    sys.exit("perf gate FAILED: lane kernel diverged from serial")
-print(f"parallel kernel {lanes['speedup']:.2f}x on {lanes['lanes']} "
-      f"lanes, identical to serial")
-# Lane-scaling gate: with real cores available, running 4+ lanes must
-# never be slower than the serial kernel — a losing parallel kernel
-# is a regression, not a shrug. A 1-core box records degraded: true
-# and skips this (it cannot measure scaling at all).
-if lanes.get("degraded") or lanes["hardware_threads"] < 4:
-    print(f"lane scaling gate skipped "
-          f"(hardware_threads={lanes['hardware_threads']})")
-else:
-    for point in lanes["sweep"]:
-        if point["lanes"] >= 4 and point["speedup"] < 1.0:
-            sys.exit(f"perf gate FAILED: {point['lanes']} lanes ran "
-                     f"{point['speedup']:.2f}x vs serial — the lane "
-                     f"kernel is losing on a multi-core box")
-    print("lane scaling gate OK")
 print("perf gate OK")
 EOF
 else
@@ -164,31 +133,40 @@ else
 fi
 rm -f "$SMOKE_JSON"
 
-echo "== run-ledger regression gate (LEDGER_golden.jsonl) =="
-if [[ "${TRANSFW_SKIP_LEDGER_GATE:-0}" == "1" ]]; then
-    echo "skipped (TRANSFW_SKIP_LEDGER_GATE=1)"
-else
-    LEDGER_NEW=$(mktemp /tmp/transfw_ledger.XXXXXX.jsonl)
-    rm -f "$LEDGER_NEW" # simulate appends; start from an empty ledger
-    # Small deterministic config matrix: both fault modes, with and
-    # without Trans-FW. Must match the matrix the committed golden was
-    # generated from (regenerate with --refresh-ledger).
-    LEDGER_MATRIX=(
-        "--app MT"
-        "--app MT --transfw"
-        "--app KM --fault-mode sw"
-        "--app KM --fault-mode sw --transfw"
-    )
-    for args in "${LEDGER_MATRIX[@]}"; do
-        # shellcheck disable=SC2086
-        ./build/examples/simulate $args --scale 0.25 \
-            --ledger "$LEDGER_NEW" >/dev/null
-    done
-    if command -v python3 >/dev/null 2>&1; then
-        python3 - "$LEDGER_NEW" <<'EOF'
+echo "== run-ledger gate (fabric invariants + LEDGER_golden.jsonl) =="
+LEDGER_NEW=$(mktemp /tmp/transfw_ledger.XXXXXX.jsonl)
+rm -f "$LEDGER_NEW" # simulate appends; start from an empty ledger
+# Deterministic config matrix: both fault modes with and without
+# Trans-FW, then every fabric topology with sharded and unsharded host
+# MMUs plus the software-fault path. Must match the matrix the
+# committed golden was generated from (regenerate with
+# --refresh-ledger).
+LEDGER_MATRIX=(
+    "--app MT --scale 0.25"
+    "--app MT --transfw --scale 0.25"
+    "--app KM --fault-mode sw --scale 0.25"
+    "--app KM --fault-mode sw --transfw --scale 0.25"
+    "--app MT --transfw --topology ring --gpus 16 --shards 4 --cus 4 --scale 0.05"
+    "--app MT --transfw --topology mesh --gpus 8 --shards 2 --cus 4 --scale 0.05"
+    "--app MT --transfw --topology switch --gpus 16 --shards 2 --cus 4 --scale 0.05"
+    "--app MT --transfw --topology a2a --gpus 8 --cus 4 --scale 0.05"
+    "--app KM --fault-mode sw --transfw --cus 4 --scale 0.05"
+)
+for args in "${LEDGER_MATRIX[@]}"; do
+    # shellcheck disable=SC2086
+    ./build/examples/simulate $args --ledger "$LEDGER_NEW" >/dev/null
+done
+if command -v python3 >/dev/null 2>&1; then
+    # Per-hop attribution must balance: every request's hop charges sum
+    # to its Network + HostRoute buckets, watchdog-verified per request
+    # inside obs::Checks, so any imbalance shows up as
+    # obs.checkViolations != 0 in the record.
+    python3 - "$LEDGER_NEW" "${#LEDGER_MATRIX[@]}" <<'EOF'
 import json, sys
 lines = [l for l in open(sys.argv[1]) if l.strip()]
-assert len(lines) == 4, f"expected 4 records, got {len(lines)}"
+expected = int(sys.argv[2])
+assert len(lines) == expected, f"expected {expected} records, got {len(lines)}"
+fabric_records = 0
 for n, line in enumerate(lines, 1):
     rec = json.loads(line)
     assert rec["schema"] == "transfw-ledger-v1", f"line {n}: schema"
@@ -196,80 +174,44 @@ for n, line in enumerate(lines, 1):
                   "source", "metrics", "wall"):
         assert field in rec, f"line {n}: {field} missing"
     assert rec["source"] == "simulate", f"line {n}: source"
-    assert isinstance(rec["metrics"], dict) and rec["metrics"], \
-        f"line {n}: empty metrics"
+    m = rec["metrics"]
+    assert isinstance(m, dict) and m, f"line {n}: empty metrics"
     assert "timestamp" in rec["wall"], f"line {n}: wall.timestamp"
     for key in ("exec.cycles", "exec.events", "exec.peakEventBacklog"):
-        assert key in rec["metrics"], f"line {n}: metrics[{key}]"
-print("transfw-ledger-v1 schema OK (4 records)")
-EOF
-    else
-        grep -q '"schema":"transfw-ledger-v1"' "$LEDGER_NEW"
-        [[ "$(wc -l < "$LEDGER_NEW")" == "4" ]]
-        echo "transfw-ledger-v1 schema OK (grep fallback)"
-    fi
-    if [[ "$REFRESH_LEDGER" == "1" || ! -f LEDGER_golden.jsonl ]]; then
-        cp "$LEDGER_NEW" LEDGER_golden.jsonl
-        echo "LEDGER_golden.jsonl refreshed — review and commit it"
-    else
-        ./build/examples/compare_runs LEDGER_golden.jsonl "$LEDGER_NEW"
-        echo "ledger gate OK"
-    fi
-    rm -f "$LEDGER_NEW"
-fi
-
-echo "== fabric invariant gate (per-hop sums == buckets) =="
-# Per-hop attribution must balance: every request's hop charges sum to
-# its Network + HostRoute buckets, watchdog-verified per request inside
-# obs::Checks. Any imbalance anywhere in these runs shows up as
-# obs.checkViolations != 0 in the ledger record. The matrix crosses
-# every fabric topology with sharded and unsharded host MMUs plus the
-# software-fault path.
-FABRIC_LEDGER=$(mktemp /tmp/transfw_fabric.XXXXXX.jsonl)
-rm -f "$FABRIC_LEDGER"
-FABRIC_MATRIX=(
-    "--app MT --transfw --topology ring --gpus 16 --shards 4 --cus 4"
-    "--app MT --transfw --topology mesh --gpus 8 --shards 2 --cus 4"
-    "--app MT --transfw --topology switch --gpus 16 --shards 2 --cus 4"
-    "--app MT --transfw --topology a2a --gpus 8 --cus 4"
-    "--app KM --fault-mode sw --transfw --cus 4"
-)
-for args in "${FABRIC_MATRIX[@]}"; do
-    # shellcheck disable=SC2086
-    ./build/examples/simulate $args --scale 0.05 \
-        --ledger "$FABRIC_LEDGER" >/dev/null
-done
-if command -v python3 >/dev/null 2>&1; then
-    python3 - "$FABRIC_LEDGER" <<'EOF'
-import json, sys
-lines = [l for l in open(sys.argv[1]) if l.strip()]
-assert len(lines) == 5, f"expected 5 records, got {len(lines)}"
-fabric_records = 0
-for n, line in enumerate(lines, 1):
-    m = json.loads(line)["metrics"]
+        assert key in m, f"line {n}: metrics[{key}]"
     assert m.get("obs.checkedRequests", 0) > 0, \
-        f"record {n}: watchdog checked nothing"
+        f"line {n}: watchdog checked nothing"
     assert m.get("obs.checkViolations", 1) == 0, \
-        f"record {n}: {m['obs.checkViolations']} per-hop imbalances"
+        f"line {n}: {m['obs.checkViolations']} per-hop imbalances"
     if "fabric.links" in m:
         fabric_records += 1
-        assert m["fabric.links"] > 0, f"record {n}: no fabric links"
+        assert m["fabric.links"] > 0, f"line {n}: no fabric links"
         assert m.get("fabric.maxRouteHops", 0) >= 1, \
-            f"record {n}: no routed traffic"
+            f"line {n}: no routed traffic"
 assert fabric_records >= 3, \
     f"only {fabric_records} records carry fabric.* keys"
-print(f"fabric invariant gate OK (5 records, "
-      f"{fabric_records} with fabric telemetry)")
+print(f"transfw-ledger-v1 schema + fabric invariants OK ({len(lines)} "
+      f"records, {fabric_records} with fabric telemetry)")
 EOF
 else
-    [[ "$(wc -l < "$FABRIC_LEDGER")" == "5" ]]
-    if grep -q '"obs.checkViolations": *[1-9]' "$FABRIC_LEDGER"; then
+    grep -q '"schema":"transfw-ledger-v1"' "$LEDGER_NEW"
+    [[ "$(wc -l < "$LEDGER_NEW")" == "${#LEDGER_MATRIX[@]}" ]]
+    if grep -q '"obs.checkViolations": *[1-9]' "$LEDGER_NEW"; then
         echo "fabric invariant gate FAILED (violations in ledger)" >&2
         exit 1
     fi
-    echo "fabric invariant gate OK (grep fallback)"
+    echo "transfw-ledger-v1 schema + fabric invariants OK (grep fallback)"
 fi
-rm -f "$FABRIC_LEDGER"
+if [[ "$REFRESH_LEDGER" == "1" || ! -f LEDGER_golden.jsonl ]]; then
+    cp "$LEDGER_NEW" LEDGER_golden.jsonl
+    echo "LEDGER_golden.jsonl refreshed — review and commit it"
+elif [[ "${TRANSFW_SKIP_LEDGER_GATE:-0}" == "1" ]]; then
+    echo "golden diff skipped (TRANSFW_SKIP_LEDGER_GATE=1)"
+else
+    ./build/examples/compare_runs LEDGER_golden.jsonl "$LEDGER_NEW"
+    echo "ledger gate OK"
+fi
+rm -f "$LEDGER_NEW"
 
 if [[ "$FAST" == "1" ]]; then
     exit 0
@@ -293,28 +235,17 @@ ctest --test-dir build-asan --output-on-failure -j "$JOBS"
     --gpus 16 --shards 4 --cus 4 --scale 0.05 >/dev/null
 echo "asan pod smoke OK (16-GPU ring, 4 shards)"
 
-echo "== thread sanitizer build (lane kernel data races) =="
-# TSan is the gate for the per-GPU lane kernel: the parallel-vs-serial
-# bit-identity tests run every lane count under it, so any unsynchron-
-# ized cross-lane access surfaces as a hard failure here.
+echo "== thread sanitizer build (SweepRunner data races) =="
+# The simulator's only threads are the SweepRunner's workers, each
+# running whole simulations on its own thread-local pools. TSan runs
+# the suite (test_sweep drives the runner) and a 4-job sweep smoke.
 if [[ "${TRANSFW_SKIP_TSAN:-0}" == "1" ]]; then
     echo "skipped (TRANSFW_SKIP_TSAN=1)"
 else
     cmake -B build-tsan -S . -DTRANSFW_SANITIZE=thread >/dev/null
     cmake --build build-tsan -j "$JOBS"
     ctest --test-dir build-tsan --output-on-failure -j "$JOBS"
-    # Long-run lane soak: many more randomized (link latency, lane
-    # count) rounds than the plain suite runs, to give TSan real
-    # scheduling diversity over the worker pool, mailbox batches, and
-    # shared-pool handoffs.
-    echo "== thread sanitizer lane soak (TRANSFW_STRESS_ROUNDS=24) =="
-    TRANSFW_STRESS_ROUNDS=24 ctest --test-dir build-tsan \
-        --output-on-failure -R "ParallelKernel.RandomizedLatencyLaneStress"
-    # Pod smoke under tsan: the same 16-GPU ring x 4-shard config with
-    # the lane kernel on, racing the shard crossbar against the per-GPU
-    # lane workers.
-    TRANSFW_JOBS="${TRANSFW_JOBS:-4}" ./build-tsan/examples/simulate \
-        --app MT --transfw --topology ring --gpus 16 --shards 4 \
-        --cus 4 --lanes 4 --scale 0.05 >/dev/null
-    echo "tsan pod smoke OK (16-GPU ring, 4 shards, 4 lanes)"
+    TRANSFW_SCALE=0.05 ./build-tsan/examples/sweep -j 4 --dim walkers \
+        >/dev/null
+    echo "tsan sweep smoke OK (4 jobs)"
 fi

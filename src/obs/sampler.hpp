@@ -49,11 +49,10 @@ class IntervalSampler
 
     /**
      * Append one row stamped @p tick by probing every column now. The
-     * windowed lane kernel drives sampling this way — rows are recorded
-     * at window barriers, while every lane is quiescent — instead of
-     * riding weak events on a single queue (start()); the row schedule
-     * then depends only on the deterministic window sequence, never on
-     * the number of worker threads.
+     * system's event kernel drives sampling this way — the row for
+     * tick S is recorded once every event below S has run, on every
+     * queue — instead of riding weak events on a single queue
+     * (start()).
      */
     void recordRow(sim::Tick tick);
 

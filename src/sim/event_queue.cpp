@@ -141,25 +141,11 @@ EventQueue::drainTick(Tick when)
         fire(std::move(e));
         ++executed;
     }
-    if (strong_ > 0)
+    // Reset a drained bucket even when the last strong event just ran:
+    // a stale live bit would make nextTick() report this tick again
+    // once new work arrives. Undrained weak entries stay queued.
+    if (b.drained())
         resetBucket(idx);
-    return executed;
-}
-
-std::uint64_t
-EventQueue::runWindow(Tick end)
-{
-    std::uint64_t executed = 0;
-    // Guard on strong_: with only weak events left nothing may run
-    // (drainTick would execute zero events forever), and the decision
-    // to discard them belongs to the caller at global termination.
-    while (strong_ > 0) {
-        Tick t = nextEventTick();
-        if (t >= end)
-            break;
-        now_ = t;
-        executed += drainTick(t);
-    }
     return executed;
 }
 

@@ -136,24 +136,27 @@ class EventQueue
 
     /**
      * Earliest pending tick (strong or weak); kMaxTick when nothing is
-     * queued. The lane scheduler uses this to skip empty lookahead
-     * windows.
+     * queued. The system's merge of per-GPU queues orders them by it.
      */
     Tick nextTick() const { return nextEventTick(); }
 
     /**
-     * Execute every event with tick < @p end, in exact (tick, seq)
-     * order, and stop. Unlike run(), the weak remainder is never
-     * discarded and now() stays at the last executed tick — the queue
-     * remains open for the next lookahead window. Events a callback
-     * schedules inside [now, end) still execute within this call.
+     * Advance to tick @p when, which must be nextTick(), and execute
+     * every event at it in seq order, including events a callback
+     * schedules at @p when. Unlike run(), the weak remainder is never
+     * discarded — the queue remains open for the next call.
      * @return the number of events executed.
      */
-    std::uint64_t runWindow(Tick end);
+    std::uint64_t
+    runTick(Tick when)
+    {
+        now_ = when;
+        return drainTick(when);
+    }
 
     /**
      * Destroy everything still queued (the trailing weak events of a
-     * finished lane). The windowed kernel calls this once per lane
+     * finished queue). The system's merge calls this once per queue
      * after global termination, mirroring run()'s final discard.
      */
     void discardPending() { discardAll(); }

@@ -16,35 +16,19 @@ namespace transfw::sim {
 template <typename Derived>
 class Pooled;
 
-/**
- * True on a thread only while it executes lane work inside a
- * LaneExecutor parallel phase — the one regime in which pooled objects
- * this thread touches can be shared with another thread. Every
- * refcount/occupancy update branches on this flag: when clear (serial
- * kernel, host stretches between phases, sweep workers on disjoint
- * simulations) the counters use plain loads and stores, so the common
- * path pays no lock-prefixed instructions.
- *
- * The flag is thread_local on purpose. A process-global flag would
- * put one heavily-read byte on a line every pool op in every thread
- * touches, and — worse — would switch *unrelated* threads (sweep
- * workers running disjoint serial simulations) to atomic counters
- * whenever any one simulation runs a parallel phase. Thread-locality
- * makes the mode a property of the only threads that can actually
- * share objects: the phase caller and its helpers, all of which pass
- * through the executor's mutex at phase entry/exit, which orders the
- * mode transitions against the counter traffic on either side.
- */
-inline thread_local bool poolsShared = false;
-
 namespace poolops {
 
+/**
+ * Refcount/occupancy updates. One simulation runs on one thread, so a
+ * pooled object's references are only ever touched by one thread at a
+ * time: the counters are atomics for well-defined cross-thread handoff
+ * (sweep workers join before their results are read) but update with
+ * plain relaxed loads and stores, never a lock-prefixed instruction.
+ */
 template <typename U>
 inline U
 inc(std::atomic<U> &c)
 {
-    if (poolsShared)
-        return c.fetch_add(1, std::memory_order_relaxed);
     U v = c.load(std::memory_order_relaxed);
     c.store(v + 1, std::memory_order_relaxed);
     return v;
@@ -54,10 +38,6 @@ template <typename U>
 inline U
 dec(std::atomic<U> &c)
 {
-    if (poolsShared)
-        // acq_rel: a final cross-thread decrement must observe every
-        // other thread's writes to the object before teardown runs.
-        return c.fetch_sub(1, std::memory_order_acq_rel);
     U v = c.load(std::memory_order_relaxed);
     c.store(v - 1, std::memory_order_relaxed);
     return v;
@@ -74,10 +54,9 @@ dec(std::atomic<U> &c)
  * the system allocator.
  *
  * Threading contract: each thread gets its own pool via local(), and
- * acquire() is only ever called by the owning thread. Releases,
- * however, may come from any thread: the parallel lane kernel hands
- * pooled requests across lanes (forwarded lookups, replies), so the
- * last reference can drop on a thread other than the allocator's.
+ * acquire() is only ever called by the owning thread. The last
+ * reference may drop on a thread other than the allocator's (an
+ * object built on one thread and torn down on another after a join).
  * An object released off-thread is destroyed by the releasing thread
  * and its slot is pushed onto a lock-free remote stack that the owner
  * folds back into its freelist (push-only remote, pop-all owner — no
@@ -144,12 +123,7 @@ class ObjectPool
         obj->~T();
         Slot *slot = reinterpret_cast<Slot *>(obj);
         poolops::dec(live_);
-        // Outside a parallel phase this thread cannot be racing the
-        // pool's owner (any thread that could share this object is
-        // either this one or parked behind the executor barrier), so
-        // even a foreign pool's freelist is safe to push directly —
-        // and the thread_local lookup is skipped entirely.
-        if (!poolsShared || this == &local()) {
+        if (this == &local()) {
             slot->next = free_;
             free_ = slot;
             return;

@@ -218,9 +218,8 @@ MigrationEngine::transfer(int from_owner, int to_gpu,
             // request's timeline. Uncounted: the Migration bucket is
             // still charged as the lump `arrival - start` by the
             // caller, and these hops only say where on the fabric the
-            // payload spent it (the hook runs on the host lane, so the
-            // engine's sink is safe to call directly).
-            obs::AttribSink *sink = attrib_;
+            // payload spent it.
+            obs::AttributionEngine *sink = attrib_;
             mmu::XlatPtr req = traced;
             net_.sendPeerTraced(
                 from_owner, to_gpu, bytes,

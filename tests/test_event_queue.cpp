@@ -229,3 +229,16 @@ TEST(EventQueue, RunOneAcrossWindowBoundary)
     EXPECT_FALSE(eq.runOne());
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
+
+TEST(EventQueue, NextTickForgetsTickDrainedOfItsLastStrongEvent)
+{
+    // A queue that runs dry and later receives new work (a GPU queue
+    // fed by the host between ticks) must report the new work's tick,
+    // not the tick whose bucket it just emptied.
+    sim::EventQueue eq;
+    eq.scheduleAt(5, [] {});
+    EXPECT_EQ(eq.runTick(eq.nextTick()), 1u);
+    EXPECT_EQ(eq.strongPending(), 0u);
+    eq.scheduleAt(9, [] {});
+    EXPECT_EQ(eq.nextTick(), 9u);
+}
