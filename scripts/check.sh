@@ -138,8 +138,11 @@ LEDGER_NEW=$(mktemp /tmp/transfw_ledger.XXXXXX.jsonl)
 rm -f "$LEDGER_NEW" # simulate appends; start from an empty ledger
 # Deterministic config matrix: both fault modes with and without
 # Trans-FW, then every fabric topology with sharded and unsharded host
-# MMUs plus the software-fault path. Must match the matrix the
-# committed golden was generated from (regenerate with
+# MMUs plus the software-fault path, Least-TLB (whose sibling-L2 probes
+# read other GPUs' state mid-tick, so it is the config most sensitive
+# to same-tick event order), and a 64-GPU switch pod with 4 shards and
+# a partitioned FT (65 event owners in one queue). Must match the
+# matrix the committed golden was generated from (regenerate with
 # --refresh-ledger).
 LEDGER_MATRIX=(
     "--app MT --scale 0.25"
@@ -151,6 +154,8 @@ LEDGER_MATRIX=(
     "--app MT --transfw --topology switch --gpus 16 --shards 2 --cus 4 --scale 0.05"
     "--app MT --transfw --topology a2a --gpus 8 --cus 4 --scale 0.05"
     "--app KM --fault-mode sw --transfw --cus 4 --scale 0.05"
+    "--app MT --transfw --least-tlb --scale 0.25"
+    "--app MT --transfw --gpus 64 --topology switch --shards 4 --ft-mode part --scale 0.25"
 )
 for args in "${LEDGER_MATRIX[@]}"; do
     # shellcheck disable=SC2086
@@ -228,12 +233,16 @@ echo "== sanitizer build (address,undefined + strict obs watchdog) =="
 cmake -B build-asan -S . -DTRANSFW_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
-# Pod smoke under asan: a 16-GPU ring with the host MMU sharded 4
+# Pod smokes under asan: a 16-GPU ring with the host MMU sharded 4
 # ways exercises the topology router and the shard crossbar with the
-# strict obs watchdog armed.
+# strict obs watchdog armed; a 64-GPU two-level switch pod with a
+# partitioned FT puts 65 event owners through one queue.
 ./build-asan/examples/simulate --app MT --transfw --topology ring \
     --gpus 16 --shards 4 --cus 4 --scale 0.05 >/dev/null
 echo "asan pod smoke OK (16-GPU ring, 4 shards)"
+./build-asan/examples/simulate --app MT --transfw --gpus 64 \
+    --topology switch --shards 4 --ft-mode part --scale 0.05 >/dev/null
+echo "asan pod smoke OK (64-GPU switch, 4 shards)"
 
 echo "== thread sanitizer build (SweepRunner data races) =="
 # The simulator's only threads are the SweepRunner's workers, each

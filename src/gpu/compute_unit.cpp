@@ -8,7 +8,8 @@ ComputeUnit::ComputeUnit(sim::EventQueue &eq,
                          const cfg::SystemConfig &config, Gpu &gpu,
                          int cu_id, const wl::Workload &workload,
                          CtaScheduler &scheduler, std::uint64_t seed)
-    : SimObject(eq, sim::strfmt("gpu%d.cu%d", gpu.id(), cu_id)),
+    : SimObject(eq, sim::strfmt("gpu%d.cu%d", gpu.id(), cu_id),
+                gpu.owner()),
       cfg_(config), gpu_(gpu), cuId_(cu_id), workload_(workload),
       scheduler_(scheduler), seed_(seed),
       slots_(static_cast<std::size_t>(config.wavefrontSlotsPerCu))

@@ -9,7 +9,8 @@ namespace transfw::gpu {
 
 Gpu::Gpu(sim::EventQueue &eq, const cfg::SystemConfig &config, int gpu_id,
          sim::Rng &rng)
-    : SimObject(eq, sim::strfmt("gpu%d", gpu_id)), cfg_(config),
+    : SimObject(eq, sim::strfmt("gpu%d", gpu_id), sim::gpuOwner(gpu_id)),
+      cfg_(config),
       id_(gpu_id), vpnShift_(config.pageShift - mem::kSmallPageShift),
       rng_(rng), pt_(config.geometry()),
       frames_(config.gpuMemBytes, config.pageShift),
@@ -25,7 +26,7 @@ Gpu::Gpu(sim::EventQueue &eq, const cfg::SystemConfig &config, int gpu_id,
     if (config.memModel == cfg::MemModel::Hierarchy) {
         memHierarchy_ = std::make_unique<mem::GpuMemoryHierarchy>(
             eq, sim::strfmt("gpu%d.mem", gpu_id), config.memHierarchy,
-            config.cusPerGpu);
+            config.cusPerGpu, owner());
     }
     if (config.transFw.enabled) {
         prt_ = std::make_unique<core::PendingRequestTable>(config.transFw,

@@ -52,17 +52,18 @@ struct HopTiming
 class Link : public sim::SimObject
 {
   public:
-    Link(sim::EventQueue &eq, std::string name, const LinkConfig &config)
-        : SimObject(eq, std::move(name)), config_(config)
-    {}
-
     /**
-     * Deliver control messages into @p target instead of the link's
-     * own queue. The link's queue is its sender's clock; the target is
-     * the receiver's queue (GPU uplinks deliver to the host queue,
-     * host downlinks to the GPU's).
+     * @p owner is the sending side, which also receives data-channel
+     * deliveries; control messages are delivered to @p ctrl_owner, the
+     * receiving side (a GPU uplink's control messages go to the host,
+     * a host downlink's to its GPU).
      */
-    void setCtrlTarget(sim::EventQueue *target) { ctrlTarget_ = target; }
+    Link(sim::EventQueue &eq, std::string name, const LinkConfig &config,
+         sim::Owner owner = sim::kHostOwner,
+         sim::Owner ctrl_owner = sim::kHostOwner)
+        : SimObject(eq, std::move(name), owner), config_(config),
+          ctrlOwner_(ctrl_owner)
+    {}
 
     /**
      * Send @p bytes on the bulk data channel; @p deliver fires at the
@@ -81,7 +82,7 @@ class Link : public sim::SimObject
         ser = std::max<sim::Tick>(ser, 1);
         busyUntil_ = depart + ser;
         sim::Tick arrive = busyUntil_ + config_.latency;
-        eventq().scheduleAt(arrive, std::move(deliver));
+        scheduleAt(arrive, std::move(deliver));
         bytesSent_ += bytes;
         ++messages_;
 #if TRANSFW_OBS
@@ -103,8 +104,7 @@ class Link : public sim::SimObject
              HopTiming *timing = nullptr)
     {
         sim::Tick arrive = curTick() + 2 + config_.latency;
-        (ctrlTarget_ ? *ctrlTarget_ : eventq())
-            .scheduleAt(arrive, std::move(deliver));
+        eventq().scheduleAt(arrive, std::move(deliver), ctrlOwner_);
         bytesSent_ += bytes;
         ++messages_;
 #if TRANSFW_OBS
@@ -216,6 +216,7 @@ class Link : public sim::SimObject
 #endif
 
     LinkConfig config_;
+    sim::Owner ctrlOwner_;
     sim::Tick busyUntil_ = 0;
     std::uint64_t bytesSent_ = 0;
     std::uint64_t messages_ = 0;
@@ -226,7 +227,6 @@ class Link : public sim::SimObject
     std::deque<sim::Tick> inflight_; ///< departure ticks of queued sends
     std::unique_ptr<obs::LogHistogram> waitHist_; ///< lazy, data channel
 #endif
-    sim::EventQueue *ctrlTarget_ = nullptr;
 };
 
 } // namespace transfw::ic

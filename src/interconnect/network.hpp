@@ -60,11 +60,16 @@ class Network
         : eq_(eq), numGpus_(num_gpus), topology_(topology),
           peerConfig_(peer), switchRadix_(switch_radix)
     {
+        // A GPU sends on its uplink (control messages land on the
+        // host); the host sends on a downlink, whose control messages
+        // land on the GPU. Fabric links belong to the host.
         for (int g = 0; g < num_gpus; ++g) {
             up_.push_back(std::make_unique<Link>(
-                eq, sim::strfmt("net.gpu%d.to_host", g), host));
+                eq, sim::strfmt("net.gpu%d.to_host", g), host,
+                sim::gpuOwner(g), sim::kHostOwner));
             down_.push_back(std::make_unique<Link>(
-                eq, sim::strfmt("net.host.to_gpu%d", g), host));
+                eq, sim::strfmt("net.host.to_gpu%d", g), host,
+                sim::kHostOwner, sim::gpuOwner(g)));
         }
         buildFabric(mesh_cols);
     }
@@ -75,22 +80,6 @@ class Network
     Link &fromHost(int gpu)
     {
         return *down_.at(static_cast<std::size_t>(gpu));
-    }
-
-    /**
-     * Give GPU @p gpu its own event queue: its uplink sends on
-     * @p gpu_queue's clock and delivers control messages to the host
-     * queue, and its downlink delivers control messages straight into
-     * @p gpu_queue. The downlink's data channel and every fabric link
-     * stay on the host queue. Call once per GPU, before any traffic.
-     */
-    void
-    attachGpuQueue(int gpu, sim::EventQueue &gpu_queue)
-    {
-        Link &up = toHost(gpu);
-        up.rebindEventQueue(gpu_queue);
-        up.setCtrlTarget(&eq_);
-        fromHost(gpu).setCtrlTarget(&gpu_queue);
     }
 
     /**

@@ -3,8 +3,9 @@
 namespace transfw::mem {
 
 DataCache::DataCache(sim::EventQueue &eq, std::string name,
-                     const DataCacheConfig &config, FetchFn fetch_below)
-    : SimObject(eq, std::move(name)), config_(config),
+                     const DataCacheConfig &config, FetchFn fetch_below,
+                     sim::Owner owner)
+    : SimObject(eq, std::move(name), owner), config_(config),
       fetchBelow_(std::move(fetch_below)),
       tags_(config.sizeBytes / config.lineBytes, config.ways)
 {}

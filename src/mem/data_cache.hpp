@@ -36,7 +36,8 @@ class DataCache : public sim::SimObject
     using FetchFn = std::function<void(PhysAddr, Callback)>;
 
     DataCache(sim::EventQueue &eq, std::string name,
-              const DataCacheConfig &config, FetchFn fetch_below);
+              const DataCacheConfig &config, FetchFn fetch_below,
+              sim::Owner owner = sim::kHostOwner);
 
     /** Access @p addr; @p done fires when the data is available. */
     void access(PhysAddr addr, bool write, Callback done);

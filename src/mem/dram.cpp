@@ -3,8 +3,8 @@
 namespace transfw::mem {
 
 Dram::Dram(sim::EventQueue &eq, std::string name,
-           const DramConfig &config)
-    : SimObject(eq, std::move(name)), config_(config),
+           const DramConfig &config, sim::Owner owner)
+    : SimObject(eq, std::move(name), owner), config_(config),
       banks_(static_cast<std::size_t>(config.banks))
 {}
 
@@ -30,8 +30,7 @@ Dram::access(PhysAddr addr, sim::EventQueue::Callback done)
         bank.openRow = row;
     }
     bank.busyUntil = start + occupancy;
-    eventq().scheduleAt(start + latency + config_.dataBeat,
-                        std::move(done));
+    scheduleAt(start + latency + config_.dataBeat, std::move(done));
 }
 
 } // namespace transfw::mem

@@ -34,7 +34,8 @@ struct DramConfig
 class Dram : public sim::SimObject
 {
   public:
-    Dram(sim::EventQueue &eq, std::string name, const DramConfig &config);
+    Dram(sim::EventQueue &eq, std::string name, const DramConfig &config,
+         sim::Owner owner = sim::kHostOwner);
 
     /** Issue an access; @p done fires when the data is returned. */
     void access(PhysAddr addr, sim::EventQueue::Callback done);

@@ -7,12 +7,14 @@ namespace transfw::mem {
 GpuMemoryHierarchy::GpuMemoryHierarchy(sim::EventQueue &eq,
                                        const std::string &name,
                                        const MemHierarchyConfig &config,
-                                       int num_cus)
-    : dram_(eq, name + ".dram", config.dram),
-      l2_(eq, name + ".l2", config.l2,
+                                       int num_cus, sim::Owner owner)
+    : dram_(eq, name + ".dram", config.dram, owner),
+      l2_(
+          eq, name + ".l2", config.l2,
           [this](PhysAddr addr, DataCache::Callback cb) {
               dram_.access(addr, std::move(cb));
-          })
+          },
+          owner)
 {
     for (int cu = 0; cu < num_cus; ++cu) {
         l1s_.push_back(std::make_unique<DataCache>(
@@ -21,7 +23,8 @@ GpuMemoryHierarchy::GpuMemoryHierarchy(sim::EventQueue &eq,
             [this](PhysAddr addr, DataCache::Callback cb) {
                 // L1 refills (and writebacks) are reads/writes at L2.
                 l2_.access(addr, false, std::move(cb));
-            }));
+            },
+            owner));
     }
 }
 

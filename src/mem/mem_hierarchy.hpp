@@ -28,7 +28,8 @@ class GpuMemoryHierarchy
 {
   public:
     GpuMemoryHierarchy(sim::EventQueue &eq, const std::string &name,
-                       const MemHierarchyConfig &config, int num_cus);
+                       const MemHierarchyConfig &config, int num_cus,
+                       sim::Owner owner = sim::kHostOwner);
 
     /** Data access from CU @p cu; @p done fires at data return. */
     void access(int cu, PhysAddr addr, bool write,

@@ -9,7 +9,8 @@ namespace transfw::mmu {
 Gmmu::Gmmu(sim::EventQueue &eq, std::string name,
            const cfg::SystemConfig &config, int gpu_id,
            mem::PageTable &pt, sim::Rng &rng)
-    : SimObject(eq, std::move(name)), cfg_(config), gpuId_(gpu_id),
+    : SimObject(eq, std::move(name), sim::gpuOwner(gpu_id)), cfg_(config),
+      gpuId_(gpu_id),
       pt_(pt), rng_(rng),
       pwc_(pwc::makePwc(config.oracle.infinitePwc ? pwc::PwcKind::Infinite
                                                   : config.pwcKind,

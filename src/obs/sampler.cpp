@@ -19,34 +19,12 @@ IntervalSampler::addRegistryColumn(const MetricRegistry &registry,
 }
 
 void
-IntervalSampler::start(sim::EventQueue &eq, sim::Tick interval)
-{
-    if (interval == 0 || columns_.empty())
-        return;
-    sample(eq, interval);
-}
-
-void
 IntervalSampler::recordRow(sim::Tick tick)
 {
     ProfScope prof(profiler_, ProfBucket::Stats);
     ticks_.push_back(tick);
     for (const Column &col : columns_)
         values_.push_back(col.probe());
-}
-
-void
-IntervalSampler::sample(sim::EventQueue &eq, sim::Tick interval)
-{
-    ProfScope prof(profiler_, ProfBucket::Stats);
-    ticks_.push_back(eq.now());
-    for (const Column &col : columns_)
-        values_.push_back(col.probe());
-    // Weak event: fires in order while real simulation work remains,
-    // but never keeps the queue alive or advances the clock past the
-    // last strong event — sampling cannot perturb execTime.
-    eq.scheduleWeak(interval,
-                    [this, &eq, interval]() { sample(eq, interval); });
 }
 
 void

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "obs/self_profiler.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/ticks.hpp"
 
 namespace transfw::obs {
@@ -15,15 +14,14 @@ namespace transfw::obs {
 class MetricRegistry;
 
 /**
- * Interval time-series sampler: rides the simulation event queue and
- * snapshots a set of probes every @p interval ticks — PW-queue depths,
- * forwarding-threshold crossings, Cuckoo-filter load factors, TLB/PWC
- * hit rates — into an in-memory table exported as CSV or JSON.
+ * Interval time-series sampler: snapshots a set of probes — PW-queue
+ * depths, forwarding-threshold crossings, Cuckoo-filter load factors,
+ * TLB/PWC hit rates — into an in-memory table exported as CSV or JSON.
  *
- * The sampler rides weak events (EventQueue::scheduleWeak), so it
- * never keeps EventQueue::run() from draining and never advances the
- * clock past the last real simulation event: when only the sampler
- * remains, the series simply ends and execTime is unperturbed.
+ * The system's event loop records one row every cfg.obs.sampleInterval
+ * ticks (recordRow) between ticks, so sampling is no event: it never
+ * keeps the simulation alive or advances the clock, and execTime is
+ * unperturbed.
  */
 class IntervalSampler
 {
@@ -40,20 +38,7 @@ class IntervalSampler
     /** Charge probe time to the profiler's Stats bucket (may be null). */
     void attachProfiler(SelfProfiler *profiler) { profiler_ = profiler; }
 
-    /**
-     * Begin sampling @p eq every @p interval ticks, starting with one
-     * immediate row at the current tick. No-op when interval == 0 or
-     * there are no columns.
-     */
-    void start(sim::EventQueue &eq, sim::Tick interval);
-
-    /**
-     * Append one row stamped @p tick by probing every column now. The
-     * system's event kernel drives sampling this way — the row for
-     * tick S is recorded once every event below S has run, on every
-     * queue — instead of riding weak events on a single queue
-     * (start()).
-     */
+    /** Append one row stamped @p tick by probing every column now. */
     void recordRow(sim::Tick tick);
 
     std::size_t columns() const { return columns_.size(); }
@@ -81,8 +66,6 @@ class IntervalSampler
         std::string name;
         Probe probe;
     };
-
-    void sample(sim::EventQueue &eq, sim::Tick interval);
 
     std::vector<Column> columns_;
     std::vector<sim::Tick> ticks_;

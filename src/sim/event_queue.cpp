@@ -7,41 +7,53 @@
 namespace transfw::sim {
 
 void
-EventQueue::scheduleAt(Tick when, Callback cb)
+EventQueue::scheduleAt(Tick when, Callback cb, Owner owner)
 {
     if (when < now_)
         panic(strfmt("event scheduled in the past: %llu < %llu",
                      static_cast<unsigned long long>(when),
                      static_cast<unsigned long long>(now_)));
-    push(when, std::move(cb), false);
-    ++strong_;
-}
-
-void
-EventQueue::scheduleWeakAt(Tick when, Callback cb)
-{
-    if (when < now_)
-        panic(strfmt("weak event scheduled in the past: %llu < %llu",
-                     static_cast<unsigned long long>(when),
-                     static_cast<unsigned long long>(now_)));
-    push(when, std::move(cb), true);
-}
-
-void
-EventQueue::push(Tick when, Callback cb, bool weak)
-{
+    if (when == now_ && owner < running_)
+        panic(strfmt("owner %u scheduled work for owner %u at tick %llu, "
+                     "the same tick it runs at; work for a lower owner "
+                     "must arrive a tick later (GPU-to-host traffic "
+                     "must cross a link)",
+                     running_, owner,
+                     static_cast<unsigned long long>(when)));
     ++size_;
     if (size_ > peak_)
         peak_ = size_;
+    Entry e{owner, nextSeq_++, std::move(cb)};
     if (when - now_ < kWindow) {
-        std::size_t idx = bucketIndex(when);
-        buckets_[idx].entries.push_back(
-            Entry{nextSeq_++, std::move(cb), weak});
-        liveBits_[idx / 64] |= std::uint64_t{1} << (idx % 64);
+        insert(when, std::move(e));
         return;
     }
-    far_.push_back(FarEntry{when, nextSeq_++, std::move(cb), weak});
+    far_.push_back(FarEntry{when, std::move(e)});
     std::push_heap(far_.begin(), far_.end(), FarLater{});
+}
+
+void
+EventQueue::insert(Tick when, Entry e)
+{
+    std::size_t idx = bucketIndex(when);
+    Bucket &b = buckets_[idx];
+    std::size_t pos = b.entries.size();
+    while (pos > b.head && e.before(b.entries[pos - 1]))
+        --pos;
+    b.entries.insert(b.entries.begin() + static_cast<std::ptrdiff_t>(pos),
+                     std::move(e));
+    liveBits_[idx / 64] |= std::uint64_t{1} << (idx % 64);
+}
+
+void
+EventQueue::admitFar(Tick when)
+{
+    while (!far_.empty() && far_.front().when == when) {
+        std::pop_heap(far_.begin(), far_.end(), FarLater{});
+        Entry e = std::move(far_.back().e);
+        far_.pop_back();
+        insert(when, std::move(e));
+    }
 }
 
 namespace {
@@ -75,7 +87,7 @@ firstLiveSlot(const std::array<std::uint64_t, kWords> &bits,
 } // namespace
 
 Tick
-EventQueue::nextEventTick() const
+EventQueue::nextTick() const
 {
     Tick next = far_.empty() ? kMaxTick : far_.front().when;
     // The ring covers ticks [now_, now_ + kWindow): slot
@@ -103,76 +115,47 @@ std::uint64_t
 EventQueue::run(Tick until)
 {
     std::uint64_t executed = 0;
-    while (strong_ > 0) {
-        Tick t = nextEventTick();
+    while (size_ > 0) {
+        Tick t = nextTick();
         if (t > until)
             break;
         now_ = t;
         executed += drainTick(t);
     }
-    // Once only weak events remain they must neither run nor advance
-    // the clock: the simulation ends exactly at its last strong event.
-    if (strong_ == 0)
-        discardAll();
     return executed;
 }
 
 std::uint64_t
 EventQueue::drainTick(Tick when)
 {
-    std::uint64_t executed = 0;
-    // Far entries for this tick fire first: they were scheduled at
-    // least a window earlier, so their sequence numbers precede every
-    // bucket entry for the same tick (see the class comment).
-    while (strong_ > 0 && !far_.empty() && far_.front().when == when) {
-        std::pop_heap(far_.begin(), far_.end(), FarLater{});
-        FarEntry e = std::move(far_.back());
-        far_.pop_back();
-        fire(Entry{e.seq, std::move(e.cb), e.weak});
-        ++executed;
-    }
+    admitFar(when);
     std::size_t idx = bucketIndex(when);
     Bucket &b = buckets_[idx];
-    // Callbacks may append same-tick events to this very bucket (a
+    std::uint64_t executed = 0;
+    // Callbacks may insert same-tick events into this very bucket (a
     // zero-delay reschedule), growing the vector mid-drain: move each
     // entry out before invoking and re-check the bounds every step.
-    while (strong_ > 0 && !b.drained()) {
+    while (!b.drained()) {
         Entry e = std::move(b.entries[b.head++]);
-        fire(std::move(e));
+        fire(e);
         ++executed;
     }
-    // Reset a drained bucket even when the last strong event just ran:
-    // a stale live bit would make nextTick() report this tick again
-    // once new work arrives. Undrained weak entries stay queued.
-    if (b.drained())
-        resetBucket(idx);
+    // A stale live bit would make nextTick() report this tick again
+    // once new work arrives.
+    resetBucket(idx);
+    running_ = kHostOwner;
     return executed;
 }
 
 bool
 EventQueue::runOne()
 {
-    if (strong_ == 0) {
-        discardAll();
+    if (size_ == 0)
         return false;
-    }
-    Tick t = nextEventTick();
+    Tick t = nextTick();
     now_ = t;
-    fireOne(t);
-    return true;
-}
-
-void
-EventQueue::fireOne(Tick when)
-{
-    if (!far_.empty() && far_.front().when == when) {
-        std::pop_heap(far_.begin(), far_.end(), FarLater{});
-        FarEntry e = std::move(far_.back());
-        far_.pop_back();
-        fire(Entry{e.seq, std::move(e.cb), e.weak});
-        return;
-    }
-    std::size_t idx = bucketIndex(when);
+    admitFar(t);
+    std::size_t idx = bucketIndex(t);
     Bucket &b = buckets_[idx];
     Entry e = std::move(b.entries[b.head++]);
     // Recycle the bucket before invoking: the callback may schedule a
@@ -180,17 +163,18 @@ EventQueue::fireOne(Tick when)
     // not be wiped by a post-hoc reset.
     if (b.drained())
         resetBucket(idx);
-    fire(std::move(e));
+    fire(e);
+    running_ = kHostOwner;
+    return true;
 }
 
 void
-EventQueue::fire(Entry e)
+EventQueue::fire(Entry &e)
 {
-    // Counters drop before the callback runs so pending()/strongPending()
-    // observed from inside an event exclude the event itself.
-    if (!e.weak)
-        --strong_;
+    // The count drops before the callback runs so pending() observed
+    // from inside an event excludes the event itself.
     --size_;
+    running_ = e.owner;
 #if TRANSFW_OBS
     if (hook_) {
         hook_->beginDispatch();
@@ -211,17 +195,6 @@ EventQueue::resetBucket(std::size_t idx)
     b.entries.clear(); // keeps capacity for the next tick landing here
     b.head = 0;
     liveBits_[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
-}
-
-void
-EventQueue::discardAll()
-{
-    if (size_ == 0)
-        return;
-    for (std::size_t idx = 0; idx < kWindow; ++idx)
-        resetBucket(idx);
-    far_.clear();
-    size_ = 0;
 }
 
 } // namespace transfw::sim

@@ -18,28 +18,49 @@
 namespace transfw::sim {
 
 /**
+ * Who an event belongs to: the host side (host MMU / UVM driver,
+ * migration, central page table, routing) is owner 0 and GPU g is
+ * owner g + 1. Same-tick events run in owner order.
+ */
+using Owner = std::uint32_t;
+
+constexpr Owner kHostOwner = 0;
+
+constexpr Owner
+gpuOwner(int gpu)
+{
+    return static_cast<Owner>(gpu) + 1;
+}
+
+/**
  * Discrete-event simulation kernel.
  *
- * Components schedule callbacks at absolute or relative ticks; run()
- * drains events in (tick, insertion-order) order, which makes execution
- * fully deterministic: two events at the same tick fire in the order
- * they were scheduled.
+ * Components schedule callbacks at absolute or relative ticks, each
+ * stamped with an Owner; run() drains events in (tick, owner, seq)
+ * order, where seq is the insertion order. Execution is therefore fully
+ * deterministic: at one tick the host's events run first, then GPU 0's,
+ * GPU 1's, and so on, and one owner's events at a tick run in the order
+ * they were scheduled. An event may schedule work at its own tick for
+ * its own or a higher owner (it runs later in the same tick); work for
+ * a lower owner at the running tick would run out of order, so
+ * scheduling it panics.
  *
  * Internally the queue is two-level, in the spirit of calendar/ladder
  * queues: events within kWindow ticks of now() land in a ring of
- * per-tick buckets (append = already sorted, since the insertion
- * sequence is monotonic), and only far-future events pay for a binary
- * heap. A bitmap over the ring makes "next non-empty tick" a handful
- * of word scans. Combined with the small-buffer-optimised EventFn
- * callback, the schedule → fire round trip on the common path touches
- * no allocator at steady state (bucket vectors retain their capacity).
+ * per-tick buckets kept sorted by (owner, seq), and only far-future
+ * events pay for a binary heap. A bucket insert walks back from the
+ * tail past entries of higher owners, so the common insert (the
+ * highest owner so far at that tick) is an append. A bitmap over the
+ * ring makes "next non-empty tick" a handful of word scans. Combined
+ * with the small-buffer-optimised EventFn callback, the schedule → fire
+ * round trip on the common path touches no allocator at steady state
+ * (bucket vectors retain their capacity).
  *
- * Ordering across the two levels is safe by construction: an event can
- * only ever sit in the heap if it was scheduled ≥ kWindow ticks ahead,
- * i.e. strictly earlier in simulation time than any bucket insertion
- * for the same tick — so its sequence number is strictly smaller, and
- * draining the heap before the bucket at each tick preserves exact
- * (tick, seq) order.
+ * Far entries join the bucket of their tick, with the same sorted
+ * insert, just before that tick drains. An entry only sits in the heap
+ * if it was scheduled ≥ kWindow ticks ahead, i.e. before every bucket
+ * insertion for the same tick, so among one owner's events it keeps
+ * its place ahead of them.
  */
 class EventQueue
 {
@@ -70,60 +91,34 @@ class EventQueue
 #endif
 
     /**
-     * High-water mark of queued events (strong + weak) over the queue's
-     * lifetime. A pure function of the event schedule, so deterministic
-     * — it lands in the ledger's metrics section, not the wall section.
+     * High-water mark of queued events over the queue's lifetime. A
+     * pure function of the event schedule, so deterministic — it lands
+     * in the ledger's metrics section, not the wall section.
      */
     std::size_t peakPending() const { return peak_; }
 
     /** Current simulation time. */
     Tick now() const { return now_; }
 
-    /** Schedule @p cb to fire @p delay ticks from now. */
-    void schedule(Tick delay, Callback cb) { scheduleAt(now_ + delay, std::move(cb)); }
-
-    /**
-     * Schedule @p cb at absolute tick @p when.
-     * Scheduling in the past is an invariant violation (panics).
-     */
-    void scheduleAt(Tick when, Callback cb);
-
-    /**
-     * Schedule @p cb like schedule(), but weakly: weak events never
-     * keep the simulation alive. They execute in normal (tick,
-     * insertion) order while at least one strong event remains
-     * pending; once only weak events are left, they are discarded
-     * unrun and now() does not advance to them. Observers (e.g. the
-     * interval sampler) use this so instrumentation cannot perturb
-     * the measured end of the simulation.
-     */
-    void scheduleWeak(Tick delay, Callback cb)
+    /** Schedule @p cb for @p owner to fire @p delay ticks from now. */
+    void
+    schedule(Tick delay, Callback cb, Owner owner = kHostOwner)
     {
-        scheduleWeakAt(now_ + delay, std::move(cb));
+        scheduleAt(now_ + delay, std::move(cb), owner);
     }
 
-    /** Absolute-tick variant of scheduleWeak(). */
-    void scheduleWeakAt(Tick when, Callback cb);
+    /**
+     * Schedule @p cb for @p owner at absolute tick @p when. Scheduling
+     * in the past, or at the running tick for an owner below the
+     * running event's, is an invariant violation (panics).
+     */
+    void scheduleAt(Tick when, Callback cb, Owner owner = kHostOwner);
 
-    /** True when no events remain (strong or weak). */
+    /** True when no events remain. */
     bool empty() const { return size_ == 0; }
 
-    /**
-     * Number of pending events that can still execute. While strong
-     * work remains this counts strong and weak events alike; once only
-     * weak events are left they will never run (see scheduleWeak), so
-     * pending() reports 0 rather than counting zombies.
-     */
-    std::size_t pending() const { return strong_ ? size_ : 0; }
-
-    /** Number of pending strong (simulation-driving) events. */
-    std::size_t strongPending() const { return strong_; }
-
-    /**
-     * Number of weak events currently queued, whether or not they will
-     * ever execute (they won't unless strong work precedes them).
-     */
-    std::size_t weakPending() const { return size_ - strong_; }
+    /** Number of queued events. */
+    std::size_t pending() const { return size_; }
 
     /**
      * Execute events until the queue drains or the next event lies past
@@ -134,18 +129,14 @@ class EventQueue
     /** Execute exactly one event if available. @return true if one ran. */
     bool runOne();
 
-    /**
-     * Earliest pending tick (strong or weak); kMaxTick when nothing is
-     * queued. The system's merge of per-GPU queues orders them by it.
-     */
-    Tick nextTick() const { return nextEventTick(); }
+    /** Earliest pending tick; kMaxTick when nothing is queued. */
+    Tick nextTick() const;
 
     /**
      * Advance to tick @p when, which must be nextTick(), and execute
-     * every event at it in seq order, including events a callback
-     * schedules at @p when. Unlike run(), the weak remainder is never
-     * discarded — the queue remains open for the next call.
-     * @return the number of events executed.
+     * every event at it in (owner, seq) order, including events a
+     * callback schedules at @p when. @return the number of events
+     * executed.
      */
     std::uint64_t
     runTick(Tick when)
@@ -154,34 +145,31 @@ class EventQueue
         return drainTick(when);
     }
 
-    /**
-     * Destroy everything still queued (the trailing weak events of a
-     * finished queue). The system's merge calls this once per queue
-     * after global termination, mirroring run()'s final discard.
-     */
-    void discardPending() { discardAll(); }
-
   private:
     /** Near event parked in a bucket: its tick is the bucket's tick. */
     struct Entry
     {
+        Owner owner;
         std::uint64_t seq;
         Callback cb;
-        bool weak;
+
+        bool
+        before(const Entry &o) const
+        {
+            return owner != o.owner ? owner < o.owner : seq < o.seq;
+        }
     };
 
     /** Far event in the fallback heap. */
     struct FarEntry
     {
         Tick when;
-        std::uint64_t seq;
-        Callback cb;
-        bool weak;
+        Entry e;
     };
 
     /**
-     * One tick's events. Entries are appended in seq order and
-     * consumed front-to-back via @p head (so runOne() can leave a tick
+     * One tick's events, sorted by (owner, seq) and consumed
+     * front-to-back via @p head (so runOne() can leave a tick
      * half-drained); the vector keeps its capacity across reuse.
      */
     struct Bucket
@@ -199,21 +187,18 @@ class EventQueue
         {
             if (a.when != b.when)
                 return a.when > b.when;
-            return a.seq > b.seq;
+            return a.e.seq > b.e.seq;
         }
     };
 
-    void push(Tick when, Callback cb, bool weak);
-    /** Earliest pending tick; kMaxTick when nothing is queued. */
-    Tick nextEventTick() const;
-    /** Execute all events at tick @p when (== now_) in seq order. */
+    /** Sorted insert of @p e into @p when's bucket, never past its head. */
+    void insert(Tick when, Entry e);
+    /** Move the heap's entries for tick @p when into its bucket. */
+    void admitFar(Tick when);
+    /** Execute all events at tick @p when (== now_) in order. */
     std::uint64_t drainTick(Tick when);
-    /** Pop + execute one event; @p when must be nextEventTick(). */
-    void fireOne(Tick when);
     /** Execute @p e (counters first, mirroring the pop-then-run order). */
-    void fire(Entry e);
-    /** Destroy everything still queued (trailing weak events). */
-    void discardAll();
+    void fire(Entry &e);
     void resetBucket(std::size_t idx);
 
     std::size_t bucketIndex(Tick when) const
@@ -223,8 +208,9 @@ class EventQueue
 
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
-    std::size_t strong_ = 0;
-    std::size_t size_ = 0; ///< live events, strong + weak
+    /** Owner of the event being executed (host between events). */
+    Owner running_ = kHostOwner;
+    std::size_t size_ = 0; ///< queued events
     std::size_t peak_ = 0; ///< lifetime high-water mark of size_
 #if TRANSFW_OBS
     DispatchHook *hook_ = nullptr;

@@ -10,14 +10,15 @@ namespace transfw::sim {
 
 /**
  * Base class for every timed simulation component. Provides a
- * hierarchical name (for logging/stats) and access to the shared event
- * queue.
+ * hierarchical name (for logging/stats), access to the shared event
+ * queue, and the Owner every event it schedules is stamped with (the
+ * host, or the GPU the component belongs to).
  */
 class SimObject
 {
   public:
-    SimObject(EventQueue &eq, std::string name)
-        : eq_(&eq), name_(std::move(name))
+    SimObject(EventQueue &eq, std::string name, Owner owner = kHostOwner)
+        : eq_(&eq), name_(std::move(name)), owner_(owner)
     {}
 
     virtual ~SimObject() = default;
@@ -28,25 +29,27 @@ class SimObject
     const std::string &name() const { return name_; }
     EventQueue &eventq() { return *eq_; }
     Tick curTick() const { return eq_->now(); }
-
-    /**
-     * Re-home this object onto another event queue (a GPU's uplink
-     * moves onto that GPU's queue once the queue exists); only call
-     * while no event scheduled by this object is pending.
-     */
-    void rebindEventQueue(EventQueue &eq) { eq_ = &eq; }
+    Owner owner() const { return owner_; }
 
   protected:
     /** Schedule a member callback @p delay ticks in the future. */
     void
     schedule(Tick delay, EventQueue::Callback cb)
     {
-        eq_->schedule(delay, std::move(cb));
+        eq_->schedule(delay, std::move(cb), owner_);
+    }
+
+    /** Schedule a member callback at absolute tick @p when. */
+    void
+    scheduleAt(Tick when, EventQueue::Callback cb)
+    {
+        eq_->scheduleAt(when, std::move(cb), owner_);
     }
 
   private:
     EventQueue *eq_;
     std::string name_;
+    Owner owner_;
 };
 
 } // namespace transfw::sim

@@ -166,7 +166,9 @@ struct SimResults
 
     // --- host-side execution (the ledger's wall section, except the
     //     deterministic backlog peak) -----------------------------------
-    std::uint64_t peakEventBacklog = 0; ///< EventQueue::peakPending()
+    /// Most events queued at once during the run (the one queue's
+    /// EventQueue::peakPending()).
+    std::uint64_t peakEventBacklog = 0;
     double hostWallSeconds = 0.0;       ///< wall clock inside run()
     double hostEventsPerSec = 0.0;      ///< eventsExecuted / wall
     obs::HostProfile hostProfile;       ///< SelfProfiler bucket snapshot

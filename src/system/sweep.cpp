@@ -26,6 +26,7 @@ runKey(const RunSpec &spec)
 SweepRunner::SweepRunner(int jobs)
     : jobs_(jobs > 0 ? jobs
                      : static_cast<int>(sim::TaskPool::defaultThreads())),
+      jobsDetected_(jobs <= 0 && sim::TaskPool::envThreads() == 0),
       ledgerPath_(obs::RunLedger::envPath())
 {
     // Sweeps memoize every (config, app, scale) point; typical matrices
@@ -90,13 +91,14 @@ SweepRunner::run(const std::vector<RunSpec> &specs)
     // Effective parallelism for this batch — what actually happened,
     // as opposed to what was requested. Recorded in stats() and the
     // ledger so a sweep that silently ran serial is visible after the
-    // fact, and warned about up front.
+    // fact, and warned about up front when hardware detection is what
+    // chose one job.
     unsigned effective_jobs = 1;
     if (jobs_ > 1 && pending.size() > 1)
         effective_jobs = static_cast<unsigned>(
             std::min<std::size_t>(pending.size(),
                                   static_cast<std::size_t>(jobs_)));
-    if (jobs_ <= 1 && pending.size() > 1) {
+    if (jobsDetected_ && jobs_ <= 1 && pending.size() > 1) {
         static std::once_flag warned;
         std::call_once(warned, [] {
             sim::warn("sweep: running serial (1 job); thread detection "

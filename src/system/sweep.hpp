@@ -86,6 +86,8 @@ class SweepRunner
 
   private:
     int jobs_;
+    /** jobs_ came from hardware detection, not the caller or env. */
+    bool jobsDetected_;
     std::string ledgerPath_;
     mutable std::mutex mu_;
     std::unordered_map<std::string, SimResults> memo_;

@@ -37,7 +37,7 @@ MultiGpuSystem::MultiGpuSystem(const cfg::SystemConfig &config,
     : cfg_(config), workload_(workload), rng_(config.seed),
       central_(config.geometry()),
       cpuFrames_(256ULL << 30, config.pageShift),
-      net_(hostEq_, config.numGpus, config.hostLink, config.peerLink,
+      net_(eq_, config.numGpus, config.hostLink, config.peerLink,
            config.peerTopology, config.meshCols, config.switchRadix),
       scheduler_(workload, config.numGpus)
 {
@@ -48,47 +48,44 @@ MultiGpuSystem::MultiGpuSystem(const cfg::SystemConfig &config,
                                                 cfg_.hostShards);
 
     for (int g = 0; g < cfg_.numGpus; ++g) {
-        gpuQs_.push_back(std::make_unique<sim::EventQueue>());
         gpuRngs_.push_back(std::make_unique<sim::Rng>(
             cfg_.seed * 0x9E3779B97F4A7C15ULL +
             2ULL * static_cast<std::uint64_t>(g) + 1));
-        net_.attachGpuQueue(g, *gpuQs_.back());
+        gpus_.push_back(
+            std::make_unique<gpu::Gpu>(eq_, cfg_, g, *gpuRngs_.back()));
     }
-
-    for (int g = 0; g < cfg_.numGpus; ++g)
-        gpus_.push_back(std::make_unique<gpu::Gpu>(
-            *gpuQs_[static_cast<std::size_t>(g)], cfg_, g,
-            *gpuRngs_[static_cast<std::size_t>(g)]));
 
     std::vector<mmu::GpuIface *> ifaces;
     for (auto &g : gpus_)
         ifaces.push_back(g.get());
 
     engine_ = std::make_unique<uvm::MigrationEngine>(
-        hostEq_, cfg_, central_, ifaces, net_, ft_.get());
+        eq_, cfg_, central_, ifaces, net_, ft_.get());
 
     if (cfg_.faultMode == cfg::FaultMode::HostMmu) {
         hostMmu_ = std::make_unique<mmu::HostMmuCluster>(
-            hostEq_, cfg_, central_, *engine_, ft_.get(), ifaces, rng_);
+            eq_, cfg_, central_, *engine_, ft_.get(), ifaces, rng_);
         hostMmu_->onResolved = [this](mmu::XlatPtr req) {
             int g = req->gpu;
             if (req->resolvedByRemote) {
                 // The owner GPU replied to the requester directly along
                 // with the pushed page (Fig. 10, path I); no extra
                 // host -> GPU reply hop. Hand the completion to GPU g
-                // at the current tick; host ticks run before GPU ticks.
-                gpuQs_[static_cast<std::size_t>(g)]->scheduleAt(
-                    hostEq_.now(), [this, req]() {
+                // at the current tick; the host's events at a tick run
+                // before the GPUs'.
+                eq_.scheduleAt(
+                    eq_.now(),
+                    [this, req]() {
                         gpus_[static_cast<std::size_t>(req->gpu)]
                             ->translationReturned(req);
-                    });
+                    },
+                    sim::gpuOwner(g));
                 return;
             }
-            sim::Tick t0 = hostEq_.now();
+            sim::Tick t0 = eq_.now();
             net_.fromHost(g).sendCtrl(kCtrlMsgBytes, [this, req, t0, g]() {
-                // Delivered on GPU g's queue.
-                sim::Tick now =
-                    gpuQs_[static_cast<std::size_t>(g)]->now();
+                // Delivered to GPU g.
+                sim::Tick now = eq_.now();
                 obs::ProfScope prof(profiler(),
                                     obs::ProfBucket::Interconnect);
                 mmu::chargeHop(*req, attribEngine(),
@@ -102,13 +99,12 @@ MultiGpuSystem::MultiGpuSystem(const cfg::SystemConfig &config,
             });
         };
         hostMmu_->forwardToGpu = [this](mmu::RemoteLookupPtr rl) {
-            sim::Tick t0 = hostEq_.now();
+            sim::Tick t0 = eq_.now();
             int target = rl->targetGpu;
             net_.fromHost(target).sendCtrl(
                 kCtrlMsgBytes, [this, rl, t0, target]() {
-                    // Delivered on GPU `target`'s queue.
-                    sim::Tick now =
-                        gpuQs_[static_cast<std::size_t>(target)]->now();
+                    // Delivered to GPU `target`.
+                    sim::Tick now = eq_.now();
                     obs::ProfScope prof(profiler(),
                                         obs::ProfBucket::Interconnect);
                     mmu::chargeHop(
@@ -124,22 +120,23 @@ MultiGpuSystem::MultiGpuSystem(const cfg::SystemConfig &config,
         };
     } else {
         driver_ = std::make_unique<uvm::UvmDriver>(
-            hostEq_, cfg_, central_, *engine_, ft_.get(), rng_);
+            eq_, cfg_, central_, *engine_, ft_.get(), rng_);
         driver_->onResolved = [this](mmu::XlatPtr req) {
             int g = req->gpu;
             if (req->resolvedByRemote) {
                 // Owner-push: reply arrived with the page (Fig. 10 I).
-                gpuQs_[static_cast<std::size_t>(g)]->scheduleAt(
-                    hostEq_.now(), [this, req]() {
+                eq_.scheduleAt(
+                    eq_.now(),
+                    [this, req]() {
                         gpus_[static_cast<std::size_t>(req->gpu)]
                             ->translationReturned(req);
-                    });
+                    },
+                    sim::gpuOwner(g));
                 return;
             }
-            sim::Tick t0 = hostEq_.now();
+            sim::Tick t0 = eq_.now();
             net_.fromHost(g).sendCtrl(kCtrlMsgBytes, [this, req, t0, g]() {
-                sim::Tick now =
-                    gpuQs_[static_cast<std::size_t>(g)]->now();
+                sim::Tick now = eq_.now();
                 obs::ProfScope prof(profiler(),
                                     obs::ProfBucket::Interconnect);
                 mmu::chargeHop(*req, attribEngine(),
@@ -173,8 +170,7 @@ MultiGpuSystem::MultiGpuSystem(const cfg::SystemConfig &config,
     for (int g = 0; g < cfg_.numGpus; ++g) {
         for (int cu = 0; cu < cfg_.cusPerGpu; ++cu) {
             cus_.push_back(std::make_unique<gpu::ComputeUnit>(
-                *gpuQs_[static_cast<std::size_t>(g)], cfg_,
-                *gpus_[static_cast<std::size_t>(g)], cu, workload_,
+                eq_, cfg_, *gpus_[static_cast<std::size_t>(g)], cu, workload_,
                 scheduler_, cu_seed));
         }
     }
@@ -222,23 +218,13 @@ MultiGpuSystem::setupObservability()
     reg.registerGauge("sim.farFaults", [this] {
         return static_cast<double>(farFaults_);
     });
-    reg.registerGauge("sim.tick", [this] {
-        sim::Tick t = hostEq_.now();
-        for (auto &q : gpuQs_)
-            t = std::max(t, q->now());
-        return static_cast<double>(t);
-    });
+    reg.registerGauge("sim.tick",
+                      [this] { return static_cast<double>(eq_.now()); });
     reg.registerGauge("sim.eventBacklog", [this] {
-        std::size_t pending = hostEq_.pending();
-        for (auto &q : gpuQs_)
-            pending += q->pending();
-        return static_cast<double>(pending);
+        return static_cast<double>(eq_.pending());
     });
     reg.registerGauge("sim.peakEventBacklog", [this] {
-        std::size_t peak = hostEq_.peakPending();
-        for (auto &q : gpuQs_)
-            peak += q->peakPending();
-        return static_cast<double>(peak);
+        return static_cast<double>(eq_.peakPending());
     });
 
     // Observability self-health: span loss and watchdog trips must be
@@ -342,11 +328,10 @@ MultiGpuSystem::wireGpu(int g)
         // The access-counter bump mutates host-side state (the
         // migration engine); it reaches the host with the same
         // control token + propagation every uplink message pays.
-        hostEq_.scheduleAt(gpuQs_[static_cast<std::size_t>(g)]->now() + 2 +
-                               net_.toHost(g).latency(),
-                           [this, vpn, from]() {
-                               engine_->noteRemoteAccess(vpn, from);
-                           });
+        eq_.scheduleAt(
+            eq_.now() + 2 + net_.toHost(g).latency(),
+            [this, vpn, from]() { engine_->noteRemoteAccess(vpn, from); },
+            sim::kHostOwner);
         sim::Tick hop = entry.owner == mem::kCpuDevice
                             ? cfg_.hostLink.latency
                             : net_.peerLatency(from, entry.owner);
@@ -373,16 +358,16 @@ MultiGpuSystem::wireGpu(int g)
         // Notify the host side over this GPU's uplink; the direct
         // remote -> requester reply is folded into the host-side
         // resolution (see DESIGN.md, remote forwarding approximation).
-        sim::Tick t0 = gpuQs_[static_cast<std::size_t>(g)]->now();
+        sim::Tick t0 = eq_.now();
         net_.toHost(g).sendCtrl(kCtrlMsgBytes, [this, rl, t0, g]() {
-            // Delivered on the host queue.
+            // Delivered to the host.
             obs::ProfScope prof(profiler(),
                                 obs::ProfBucket::Interconnect);
             mmu::chargeHop(
                 *rl->req, attribEngine(), obs::AttribBucket::Network,
                 starHop(g, -1, net_.toHost(g).latency(),
-                        static_cast<double>(hostEq_.now() - t0)),
-                hostEq_.now());
+                        static_cast<double>(eq_.now() - t0)),
+                eq_.now());
             if (hostMmu_)
                 hostMmu_->remoteLookupDone(rl);
             else
@@ -397,17 +382,17 @@ MultiGpuSystem::sendFaultToHost(mmu::XlatPtr req)
     int g = req->gpu;
     ++farFaults_;
     req->faulted = true;
-    sim::Tick t0 = gpuQs_[static_cast<std::size_t>(g)]->now();
+    sim::Tick t0 = eq_.now();
     net_.toHost(g).sendCtrl(kCtrlMsgBytes, [this, req, t0]() mutable {
-        // Delivered on the host queue.
+        // Delivered to the host.
         obs::ProfScope prof(profiler(),
                             obs::ProfBucket::Interconnect);
         mmu::chargeHop(
             *req, attribEngine(), obs::AttribBucket::Network,
             starHop(req->gpu, -1, net_.toHost(req->gpu).latency(),
-                    static_cast<double>(hostEq_.now() - t0)),
-            hostEq_.now());
-        req->tHostArrive = hostEq_.now();
+                    static_cast<double>(eq_.now() - t0)),
+            eq_.now());
+        req->tHostArrive = eq_.now();
         if (hostMmu_)
             hostMmu_->handleFault(std::move(req));
         else
@@ -471,72 +456,20 @@ MultiGpuSystem::placeInitialPages()
 }
 
 std::uint64_t
-MultiGpuSystem::runMerged()
+MultiGpuSystem::runEvents()
 {
-    // Cached next tick per queue (kMaxTick when it holds no strong
-    // work) and the strong-event count it was read at. Queues only gain
-    // events between their own ticks, so a cache is re-read after its
-    // queue runs or when its count moves.
-    struct Cursor
-    {
-        sim::Tick next = sim::kMaxTick;
-        std::size_t seen = 0;
-
-        void
-        refresh(const sim::EventQueue &q)
-        {
-            seen = q.strongPending();
-            next = seen ? q.nextTick() : sim::kMaxTick;
-        }
-    };
-    const std::size_t n = gpuQs_.size();
-    Cursor host;
-    std::vector<Cursor> gpus(n);
-    host.refresh(hostEq_);
-    for (std::size_t g = 0; g < n; ++g)
-        gpus[g].refresh(*gpuQs_[g]);
-
     obs::IntervalSampler &sampler = obs_->sampler;
     const sim::Tick interval =
         sampler.columns() ? cfg_.obs.sampleInterval : 0;
     sim::Tick nextSample = interval;
     std::uint64_t events = 0;
-    for (;;) {
-        sim::Tick t = host.next;
-        for (const Cursor &c : gpus)
-            t = std::min(t, c.next);
-        if (t == sim::kMaxTick)
-            break;
-        // A row for tick S is recorded once every event below S ran.
+    for (sim::Tick t; (t = eq_.nextTick()) != sim::kMaxTick;) {
+        // The row for tick S is recorded once every event at or before
+        // S ran, and before any later one runs.
         for (; interval && nextSample < t; nextSample += interval)
             sampler.recordRow(nextSample);
-
-        // Canonical order at tick t: host first, then GPUs by index.
-        if (host.next == t) {
-            events += hostEq_.runTick(t);
-            host.refresh(hostEq_);
-            for (std::size_t g = 0; g < n; ++g)
-                if (gpuQs_[g]->strongPending() != gpus[g].seen)
-                    gpus[g].refresh(*gpuQs_[g]);
-        }
-        for (std::size_t g = 0; g < n; ++g) {
-            if (gpus[g].next != t)
-                continue;
-            events += gpuQs_[g]->runTick(t);
-            gpus[g].refresh(*gpuQs_[g]);
-        }
-        if (hostEq_.strongPending() != host.seen) {
-            host.refresh(hostEq_);
-            if (host.next <= t)
-                sim::panic(sim::strfmt(
-                    "host event scheduled at tick %llu by a GPU event of "
-                    "the same tick; GPU-to-host traffic must cross a link",
-                    static_cast<unsigned long long>(t)));
-        }
+        events += eq_.runTick(t);
     }
-    hostEq_.discardPending();
-    for (auto &q : gpuQs_)
-        q->discardPending();
     return events;
 }
 
@@ -550,25 +483,20 @@ MultiGpuSystem::run()
     obs_->profiler.configure(cfg_.obs.selfProfile,
                              cfg_.obs.profileStride);
 #if TRANSFW_OBS
-    if (obs_->profiler.enabled()) {
-        hostEq_.setDispatchHook(&obs_->profiler);
-        for (auto &q : gpuQs_)
-            q->setDispatchHook(&obs_->profiler);
-    }
+    if (obs_->profiler.enabled())
+        eq_.setDispatchHook(&obs_->profiler);
 #endif
 
     for (auto &cu : cus_)
         cu->start();
     auto wall0 = std::chrono::steady_clock::now();
-    std::uint64_t events = runMerged();
+    std::uint64_t events = runEvents();
     double wallSeconds =
         std::chrono::duration_cast<std::chrono::duration<double>>(
             std::chrono::steady_clock::now() - wall0)
             .count();
 #if TRANSFW_OBS
-    hostEq_.setDispatchHook(nullptr);
-    for (auto &q : gpuQs_)
-        q->setDispatchHook(nullptr);
+    eq_.setDispatchHook(nullptr);
 #endif
 
     if (scheduler_.remaining() != 0)
@@ -588,9 +516,7 @@ MultiGpuSystem::collect()
     SimResults r;
     r.app = workload_.name();
     r.configSummary = cfg_.summary();
-    r.execTime = hostEq_.now();
-    for (auto &q : gpuQs_)
-        r.execTime = std::max(r.execTime, q->now());
+    r.execTime = eq_.now();
     r.farFaults = farFaults_;
 
     for (auto &cu : cus_) {
@@ -726,8 +652,7 @@ MultiGpuSystem::collect()
     // Fabric telemetry: one row per link in forEachLink's stable order,
     // the worst-fabric-edge scalars the ledger keys summarize, and the
     // routed-traffic hop-distance mix. Utilization is busy wire cycles
-    // over the run's final tick so links on different queues are
-    // comparable.
+    // over the run's final tick.
     {
         double util_sum = 0.0;
         std::size_t fabric_n = 0;
@@ -818,9 +743,7 @@ MultiGpuSystem::collect()
     r.obsCheckViolations = obs_->checks.violations();
     r.obsCheckedRequests = obs_->checks.checkedRequests();
     r.droppedSpans = obs_->spans.dropped();
-    r.peakEventBacklog = hostEq_.peakPending();
-    for (auto &q : gpuQs_)
-        r.peakEventBacklog += q->peakPending();
+    r.peakEventBacklog = eq_.peakPending();
 
     r.hostProfile = obs_->profiler.snapshot();
     return r;

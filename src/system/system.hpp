@@ -29,16 +29,17 @@ namespace transfw::sys {
  * augmented with Trans-FW's PRT/FT. Construct with a config and a
  * workload, call run() once, read the SimResults.
  *
- * Event kernel: one queue per GPU (its CUs, TLBs, GMMU and uplink)
- * plus one host queue (host MMU / UVM driver, migration engine, central
- * page table, interconnect routing), merged serially in canonical
- * order: at each tick t, every host event at t runs first, then the
- * events at t of GPU 0, 1, ..., N-1 in index order. Host events may
- * write GPU-visible state with zero modeled latency (page-table maps,
- * TLB shootdowns, same-tick replies), so they must see every GPU
- * before that GPU's tick runs. GPU-to-host messages all cross an
- * uplink and pay at least its 2-tick control token, so no GPU event
- * can create host work at its own tick; run() panics if one does.
+ * Event kernel: one sim::EventQueue ordered by (tick, owner, seq).
+ * The host side (host MMU / UVM driver, migration engine, central page
+ * table, interconnect routing) is owner 0; GPU g's CUs, TLBs, GMMU,
+ * memory and uplink are owner g + 1. So at each tick t every host
+ * event at t runs first, then the events at t of GPU 0, 1, ..., N-1 in
+ * index order. Host events may write GPU-visible state with zero
+ * modeled latency (page-table maps, TLB shootdowns, same-tick
+ * replies), so they must run before that GPU's tick. GPU-to-host
+ * messages all cross an uplink and pay at least its 2-tick control
+ * token, so no GPU event creates host work at its own tick; the queue
+ * panics if any event schedules a lower owner's work at its own tick.
  * The run is a pure function of the config and the seed (see
  * DESIGN.md, "Event kernel").
  */
@@ -69,13 +70,8 @@ class MultiGpuSystem
     core::FtCluster *ftCluster() { return ft_.get(); }
     ic::Network &network() { return net_; }
     mem::PageTable &centralPageTable() { return central_; }
-    /** The host queue: host MMU / driver, migration, routing. */
-    sim::EventQueue &eventq() { return hostEq_; }
-    /** GPU @p gpu's queue. */
-    sim::EventQueue &gpuEventq(int gpu)
-    {
-        return *gpuQs_[static_cast<std::size_t>(gpu)];
-    }
+    /** The one event queue; GPU g's events carry sim::gpuOwner(g). */
+    sim::EventQueue &eventq() { return eq_; }
     const cfg::SystemConfig &config() const { return cfg_; }
 
     /** Observability bundle: spans, metric registry, sampler. */
@@ -96,8 +92,8 @@ class MultiGpuSystem
     void setupObservability();
     SimResults collect();
 
-    /** The canonical-order serial merge; @return events executed. */
-    std::uint64_t runMerged();
+    /** Drain the queue, recording sampler rows; @return events run. */
+    std::uint64_t runEvents();
 
     /** Attribution engine for event-time charge mirroring. Fetched at
      *  call time because the wiring lambdas are created before obs_. */
@@ -115,10 +111,8 @@ class MultiGpuSystem
     cfg::SystemConfig cfg_;
     const wl::Workload &workload_;
 
-    /** Per-GPU event queues; filled before any component exists. */
-    std::vector<std::unique_ptr<sim::EventQueue>> gpuQs_;
-    /** The host/IOMMU queue (also the pre-run construction clock). */
-    sim::EventQueue hostEq_;
+    /** Host and GPU events alike (also the pre-run construction clock). */
+    sim::EventQueue eq_;
 
     sim::Rng rng_; ///< host side
     /** Per-GPU streams, seed-derived; each used only by its own GPU. */

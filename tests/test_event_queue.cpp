@@ -2,6 +2,8 @@
 
 #include <functional>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 
@@ -57,104 +59,6 @@ TEST(EventQueue, RunUntilStopsEarly)
     EXPECT_FALSE(eq.empty());
     eq.run();
     EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueue, WeakEventsRunWhileStrongWorkRemains)
-{
-    sim::EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(10, [&] { order.push_back(1); });
-    eq.schedule(30, [&] { order.push_back(3); });
-    eq.scheduleWeak(20, [&] { order.push_back(2); });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(eq.now(), 30u);
-}
-
-TEST(EventQueue, TrailingWeakEventsNeitherRunNorAdvanceClock)
-{
-    sim::EventQueue eq;
-    int weakFired = 0;
-    eq.schedule(10, [] {});
-    eq.scheduleWeak(25, [&] { ++weakFired; });
-    eq.run();
-    EXPECT_EQ(weakFired, 0);
-    EXPECT_EQ(eq.now(), 10u);
-    EXPECT_TRUE(eq.empty());
-}
-
-TEST(EventQueue, WeakOnlyQueueDrainsImmediately)
-{
-    sim::EventQueue eq;
-    int fired = 0;
-    eq.scheduleWeak(5, [&] { ++fired; });
-    EXPECT_EQ(eq.run(), 0u);
-    EXPECT_EQ(fired, 0);
-    EXPECT_EQ(eq.now(), 0u);
-    EXPECT_TRUE(eq.empty());
-    EXPECT_FALSE(eq.runOne());
-}
-
-TEST(EventQueue, SelfReschedulingWeakEventEndsWithStrongWork)
-{
-    // The interval-sampler shape: a weak event that reschedules itself
-    // forever must stop exactly when strong work stops.
-    sim::EventQueue eq;
-    std::vector<sim::Tick> samples;
-    std::function<void()> tick = [&] {
-        samples.push_back(eq.now());
-        eq.scheduleWeak(10, tick);
-    };
-    eq.scheduleWeak(0, tick);
-    eq.schedule(35, [] {});
-    eq.run();
-    EXPECT_EQ(samples, (std::vector<sim::Tick>{0, 10, 20, 30}));
-    EXPECT_EQ(eq.now(), 35u);
-    EXPECT_EQ(eq.strongPending(), 0u);
-}
-
-TEST(EventQueue, StrongPendingCountsOnlyStrong)
-{
-    sim::EventQueue eq;
-    eq.schedule(1, [] {});
-    eq.schedule(2, [] {});
-    eq.scheduleWeak(3, [] {});
-    EXPECT_EQ(eq.pending(), 3u);
-    EXPECT_EQ(eq.strongPending(), 2u);
-    EXPECT_EQ(eq.weakPending(), 1u);
-}
-
-TEST(EventQueue, PendingIsZeroWhenOnlyWeakEventsRemain)
-{
-    // Weak-only events will never run, so a caller polling pending()
-    // to decide whether the simulation is live must see zero.
-    sim::EventQueue eq;
-    eq.scheduleWeak(5, [] {});
-    eq.scheduleWeak(6, [] {});
-    EXPECT_EQ(eq.pending(), 0u);
-    EXPECT_EQ(eq.weakPending(), 2u);
-    EXPECT_FALSE(eq.empty());
-    EXPECT_EQ(eq.run(), 0u);
-    EXPECT_TRUE(eq.empty());
-    EXPECT_EQ(eq.weakPending(), 0u);
-}
-
-TEST(EventQueue, RunUntilWithOnlyWeakEventsBeforeBoundary)
-{
-    // A weak event before the boundary runs (strong work still exists
-    // beyond it); the strong event past the boundary stays pending and
-    // now() rests at the weak event's tick.
-    sim::EventQueue eq;
-    std::vector<int> order;
-    eq.scheduleWeak(10, [&] { order.push_back(1); });
-    eq.schedule(50, [&] { order.push_back(2); });
-    EXPECT_EQ(eq.run(20), 1u);
-    EXPECT_EQ(order, (std::vector<int>{1}));
-    EXPECT_EQ(eq.now(), 10u);
-    EXPECT_EQ(eq.pending(), 1u);
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-    EXPECT_EQ(eq.now(), 50u);
 }
 
 TEST(EventQueue, FarEventsBeyondBucketWindow)
@@ -232,13 +136,77 @@ TEST(EventQueue, RunOneAcrossWindowBoundary)
 
 TEST(EventQueue, NextTickForgetsTickDrainedOfItsLastStrongEvent)
 {
-    // A queue that runs dry and later receives new work (a GPU queue
-    // fed by the host between ticks) must report the new work's tick,
-    // not the tick whose bucket it just emptied.
+    // A queue that runs dry and later receives new work must report
+    // the new work's tick, not the tick whose bucket it just emptied.
     sim::EventQueue eq;
     eq.scheduleAt(5, [] {});
     EXPECT_EQ(eq.runTick(eq.nextTick()), 1u);
-    EXPECT_EQ(eq.strongPending(), 0u);
+    EXPECT_EQ(eq.pending(), 0u);
     eq.scheduleAt(9, [] {});
     EXPECT_EQ(eq.nextTick(), 9u);
+}
+
+TEST(EventQueue, SameTickRunsInOwnerOrder)
+{
+    sim::EventQueue eq;
+    std::vector<sim::Owner> order;
+    for (sim::Owner o : {2u, 1u, 0u})
+        eq.scheduleAt(5, [&order, o] { order.push_back(o); }, o);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<sim::Owner>{0, 1, 2}));
+}
+
+TEST(EventQueue, FarEntryMergesIntoBucketByOwnerThenSeq)
+{
+    // Tick 1500 is first scheduled from afar (heap) for owner 2, then
+    // from inside the window (bucket) for owners 1 and 2: owner 1 runs
+    // first; between the two owner-2 events the far one, scheduled
+    // earlier, runs first.
+    sim::EventQueue eq;
+    std::vector<int> order;
+    eq.scheduleAt(1500, [&] { order.push_back(2); }, 2);
+    eq.scheduleAt(600, [&] {
+        eq.scheduleAt(1500, [&] { order.push_back(3); }, 2);
+        eq.scheduleAt(1500, [&] { order.push_back(1); }, 1);
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueue, HigherOwnerWorkAtOwnTickRunsWithinThatTick)
+{
+    sim::EventQueue eq;
+    std::vector<std::pair<sim::Owner, sim::Tick>> ran;
+    eq.scheduleAt(7, [&] {
+        ran.emplace_back(1, eq.now());
+        eq.scheduleAt(7, [&] { ran.emplace_back(2, eq.now()); }, 2);
+    }, 1);
+    eq.scheduleAt(8, [&] { ran.emplace_back(0, eq.now()); }, 0);
+    EXPECT_EQ(eq.runTick(eq.nextTick()), 2u);
+    EXPECT_EQ(eq.nextTick(), 8u);
+    eq.run();
+    EXPECT_EQ(ran, (std::vector<std::pair<sim::Owner, sim::Tick>>{
+                       {1, 7}, {2, 7}, {0, 8}}));
+}
+
+TEST(EventQueue, PeakPendingIsMaxQueuedAtOnce)
+{
+    sim::EventQueue eq;
+    // Three queued; each swaps itself for a later event as it runs, so
+    // the count never exceeds three.
+    for (sim::Tick t : {1, 2, 3})
+        eq.scheduleAt(t, [&eq] {
+            eq.schedule(10, [] {});
+        });
+    EXPECT_EQ(eq.peakPending(), 3u);
+    eq.run();
+    EXPECT_EQ(eq.peakPending(), 3u);
+    EXPECT_EQ(eq.pending(), 0u);
+
+    // A burst far in the future raises it; draining does not lower it.
+    for (int i = 0; i < 5; ++i)
+        eq.schedule(5000, [] {}, static_cast<sim::Owner>(i));
+    EXPECT_EQ(eq.peakPending(), 5u);
+    eq.run();
+    EXPECT_EQ(eq.peakPending(), 5u);
 }

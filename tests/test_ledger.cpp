@@ -410,10 +410,8 @@ TEST(SpanRecorder, ExportsSamplerAsCounterTracks)
     obs::IntervalSampler sampler;
     double v = 1.0;
     sampler.addColumn("queue.depth", [&v] { return v; });
-    sim::EventQueue eq;
-    sampler.start(eq, 5);
-    eq.schedule(12, [] {}); // keep the queue alive past two samples
-    eq.run();
+    for (sim::Tick t : {0, 5, 10})
+        sampler.recordRow(t);
 
     std::ostringstream os;
     spans.writeChromeTrace(os, &sampler);

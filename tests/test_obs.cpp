@@ -358,56 +358,53 @@ TEST(MetricRegistry, HistogramExpandsToLeaves)
 }
 
 // ---------------------------------------------------------------------------
-// IntervalSampler: tick alignment on a live event queue.
+// IntervalSampler: tick alignment in a live simulation.
 // ---------------------------------------------------------------------------
 
 TEST(IntervalSampler, RowsAlignToInterval)
 {
-    sim::EventQueue eq;
-    obs::IntervalSampler sampler;
+    // The system's event loop records a row every sampleInterval ticks,
+    // after every event at or before the row's tick and before any
+    // later one.
+    wl::SyntheticSpec spec;
+    spec.name = "sampler";
+    spec.numCtas = 8;
+    spec.memOpsPerCta = 20;
+    spec.regions = {{.name = "own", .pages = 32, .weight = 1.0, .reuse = 2}};
+    wl::SyntheticWorkload workload(spec);
+    cfg::SystemConfig config = sys::baselineConfig();
+    config.numGpus = 2;
+    config.cusPerGpu = 2;
+    config.obs.sampleInterval = 250;
+    sys::MultiGpuSystem system(config, workload);
+
+    obs::IntervalSampler &sampler = system.obs().sampler;
     double depth = 0.0;
     sampler.addColumn("depth", [&depth] { return depth; });
-
-    // Simulation activity out to tick 1000.
+    const std::size_t col = sampler.columns() - 1;
+    // Host activity out to tick 1000, beside the workload's own.
     for (sim::Tick t = 100; t <= 1000; t += 100)
-        eq.schedule(t, [&depth] { depth += 1.0; });
+        system.eventq().scheduleAt(t, [&depth] { depth += 1.0; });
+    sys::SimResults r = system.run();
 
-    sampler.start(eq, 250);
-    eq.run();
-
-    // Immediate row at 0, then 250/500/750/1000. The sampler never
-    // reschedules past the last simulation event.
-    ASSERT_GE(sampler.rows(), 4u);
+    ASSERT_GE(sampler.rows(), 2u);
     for (std::size_t row = 0; row < sampler.rows(); ++row) {
-        EXPECT_EQ(sampler.rowTick(row) % 250, 0u) << "row " << row;
-        EXPECT_LE(sampler.rowTick(row), 1000u);
+        EXPECT_EQ(sampler.rowTick(row), 250u * (row + 1)) << "row " << row;
+        EXPECT_LE(sampler.rowTick(row), r.execTime);
     }
     // Probes see the simulation state at the sample tick.
-    EXPECT_EQ(sampler.cell(0, 0), 0.0);
-    EXPECT_EQ(sampler.cell(2, 0), 5.0); // tick 500: events 100..500 ran
-}
-
-TEST(IntervalSampler, DoesNotBlockQueueDrain)
-{
-    sim::EventQueue eq;
-    obs::IntervalSampler sampler;
-    sampler.addColumn("one", [] { return 1.0; });
-    eq.schedule(10, [] {});
-    sampler.start(eq, 5);
-    eq.run(); // must terminate: sampler stops rescheduling when alone
-    EXPECT_LE(sampler.rowTick(sampler.rows() - 1), 15u);
+    EXPECT_EQ(sampler.cell(0, col), 2.0); // tick 250: events 100, 200
+    EXPECT_EQ(sampler.cell(1, col), 5.0); // tick 500: events 100..500
 }
 
 TEST(IntervalSampler, CsvAndJsonShapes)
 {
-    sim::EventQueue eq;
     obs::IntervalSampler sampler;
     obs::MetricRegistry reg;
     reg.registerGauge("q.depth", [] { return 2.0; });
     sampler.addRegistryColumn(reg, "q.depth");
-    eq.schedule(20, [] {});
-    sampler.start(eq, 10);
-    eq.run();
+    for (sim::Tick t : {0, 10, 20})
+        sampler.recordRow(t);
 
     std::ostringstream csv;
     sampler.writeCsv(csv);
@@ -421,6 +418,7 @@ TEST(IntervalSampler, CsvAndJsonShapes)
         ++rows;
         EXPECT_NE(row.find(",2"), std::string::npos);
     }
+    EXPECT_EQ(rows, 3u);
     EXPECT_EQ(rows, sampler.rows());
 
     std::ostringstream jsonOs;

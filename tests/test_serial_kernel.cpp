@@ -1,11 +1,12 @@
 /**
- * The serial canonical-order event kernel: at each tick the host queue
- * runs first, then GPU 0 .. N-1 in index order. Every config here runs
+ * The event kernel's canonical order: at each tick the host's events
+ * run first, then GPU 0 .. N-1's in index order. Every config here runs
  * twice and must agree bit-for-bit with itself, pass the attribution
  * watchdog, and reproduce pinned (execTime, eventsExecuted, farFaults)
  * triples. The pins were recorded before the lane-parallel kernel was
- * replaced, so they also prove the replacement kept the simulated
- * machine unchanged.
+ * replaced, and kept when the per-GPU queues became one queue ordered
+ * by (tick, owner, seq), so they also prove both changes kept the
+ * simulated machine unchanged.
  */
 #include <gtest/gtest.h>
 
@@ -321,8 +322,8 @@ TEST(SerialKernel, RandomizedLatenciesPinned)
     }
 }
 
-/** The tie rule: at one tick the host queue runs first, then the GPU
- *  queues in index order, whatever order the events were scheduled
+/** The tie rule: at one tick the host's events run first, then the
+ *  GPUs' in index order, whatever order the events were scheduled
  *  in. */
 TEST(SerialKernel, HostFirstThenGpusInIndexOrder)
 {
@@ -335,17 +336,17 @@ TEST(SerialKernel, HostFirstThenGpusInIndexOrder)
     constexpr sim::Tick kTie = 50;
     std::vector<int> order; // -1 = host
     for (int g : {3, 1, 0, 2})
-        system.gpuEventq(g).scheduleAt(kTie,
-                                       [&order, g] { order.push_back(g); });
+        system.eventq().scheduleAt(
+            kTie, [&order, g] { order.push_back(g); }, sim::gpuOwner(g));
     system.eventq().scheduleAt(kTie, [&order] { order.push_back(-1); });
     system.run();
     EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3}));
 }
 
-/** A host event can hand work to GPU queues that hold nothing: work at
- *  the host's own tick runs in that tick, after the host, and later
- *  work runs on time. The late tick is past the end of the workload, so
- *  both GPU queues are idle when the host event fires. */
+/** A host event can hand work to idle GPUs: work at the host's own
+ *  tick runs in that tick, after the host, and later work runs on
+ *  time. The late tick is past the end of the workload, so both GPUs
+ *  are idle when the host event fires. */
 TEST(SerialKernel, HostEventWakesIdleGpuQueues)
 {
     wl::SyntheticWorkload workload(pinSpec("wake", 8));
@@ -355,15 +356,16 @@ TEST(SerialKernel, HostEventWakesIdleGpuQueues)
     sys::MultiGpuSystem system(config, workload);
 
     constexpr sim::Tick kLate = 1'000'000;
-    std::vector<std::pair<int, sim::Tick>> ran; // (queue, tick), -1 = host
-    system.eventq().scheduleAt(kLate, [&system, &ran] {
-        sim::EventQueue &gpu1 = system.gpuEventq(1);
-        sim::EventQueue &gpu2 = system.gpuEventq(2);
-        gpu1.scheduleAt(kLate + 7,
-                        [&gpu1, &ran] { ran.emplace_back(1, gpu1.now()); });
-        gpu2.scheduleAt(kLate,
-                        [&gpu2, &ran] { ran.emplace_back(2, gpu2.now()); });
-        ran.emplace_back(-1, system.eventq().now());
+    std::vector<std::pair<int, sim::Tick>> ran; // (GPU, tick), -1 = host
+    sim::EventQueue &eq = system.eventq();
+    eq.scheduleAt(kLate, [&eq, &ran] {
+        eq.scheduleAt(
+            kLate + 7, [&eq, &ran] { ran.emplace_back(1, eq.now()); },
+            sim::gpuOwner(1));
+        eq.scheduleAt(
+            kLate, [&eq, &ran] { ran.emplace_back(2, eq.now()); },
+            sim::gpuOwner(2));
+        ran.emplace_back(-1, eq.now());
     });
     sys::SimResults r = system.run();
     EXPECT_EQ(ran, (std::vector<std::pair<int, sim::Tick>>{
@@ -382,25 +384,28 @@ TEST(SerialKernel, GpuToHostWorkOnTheNextTickRunsHostFirst)
     sys::MultiGpuSystem system(config, workload);
 
     constexpr sim::Tick kLate = 1'000'000;
-    std::vector<std::pair<int, sim::Tick>> ran; // (queue, tick), -1 = host
-    sim::EventQueue &host = system.eventq();
-    sim::EventQueue &gpu0 = system.gpuEventq(0);
-    sim::EventQueue &gpu1 = system.gpuEventq(1);
-    gpu0.scheduleAt(kLate + 1,
-                    [&gpu0, &ran] { ran.emplace_back(0, gpu0.now()); });
-    gpu1.scheduleAt(kLate, [&host, &gpu1, &ran] {
-        ran.emplace_back(1, gpu1.now());
-        host.scheduleAt(kLate + 1,
-                        [&host, &ran] { ran.emplace_back(-1, host.now()); });
-    });
+    std::vector<std::pair<int, sim::Tick>> ran; // (GPU, tick), -1 = host
+    sim::EventQueue &eq = system.eventq();
+    eq.scheduleAt(
+        kLate + 1, [&eq, &ran] { ran.emplace_back(0, eq.now()); },
+        sim::gpuOwner(0));
+    eq.scheduleAt(
+        kLate,
+        [&eq, &ran] {
+            ran.emplace_back(1, eq.now());
+            eq.scheduleAt(kLate + 1, [&eq, &ran] {
+                ran.emplace_back(-1, eq.now());
+            });
+        },
+        sim::gpuOwner(1));
     sys::SimResults r = system.run();
     EXPECT_EQ(ran, (std::vector<std::pair<int, sim::Tick>>{
                        {1, kLate}, {-1, kLate + 1}, {0, kLate + 1}}));
     EXPECT_EQ(r.execTime, kLate + 1);
 }
 
-/** A GPU event that puts work on the host queue at its own tick breaks
- *  the host-first rule; the kernel panics instead of running it late. */
+/** A GPU event that puts host work at its own tick breaks the
+ *  host-first rule; the kernel panics instead of running it late. */
 TEST(SerialKernelDeathTest, SameTickHostWorkFromGpuPanics)
 {
     wl::SyntheticWorkload workload(pinSpec("same-tick", 8));
@@ -410,9 +415,31 @@ TEST(SerialKernelDeathTest, SameTickHostWorkFromGpuPanics)
     EXPECT_DEATH(
         {
             sys::MultiGpuSystem system(config, workload);
-            system.gpuEventq(1).scheduleAt(40, [&system] {
-                system.eventq().scheduleAt(40, [] {});
-            });
+            system.eventq().scheduleAt(
+                40,
+                [&system] { system.eventq().scheduleAt(40, [] {}); },
+                sim::gpuOwner(1));
+            system.run();
+        },
+        "same tick");
+}
+
+/** Likewise for a GPU event that puts work for a lower-indexed GPU at
+ *  its own tick: that GPU's events at the tick may already have run. */
+TEST(SerialKernelDeathTest, SameTickLowerGpuWorkPanics)
+{
+    wl::SyntheticWorkload workload(pinSpec("same-tick-gpu", 8));
+    cfg::SystemConfig config = sys::baselineConfig();
+    config.numGpus = 3;
+    config.cusPerGpu = 2;
+    EXPECT_DEATH(
+        {
+            sys::MultiGpuSystem system(config, workload);
+            sim::EventQueue &eq = system.eventq();
+            eq.scheduleAt(
+                40,
+                [&eq] { eq.scheduleAt(40, [] {}, sim::gpuOwner(1)); },
+                sim::gpuOwner(2));
             system.run();
         },
         "same tick");

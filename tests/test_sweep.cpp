@@ -219,3 +219,19 @@ TEST(Sweep, RunKeyFoldsScaleAndApp)
     EXPECT_NE(sys::runKey(a), sys::runKey(c));
     EXPECT_EQ(sys::runKey(a), sys::runKey(a));
 }
+
+TEST(Sweep, ExplicitSingleJobDoesNotWarnAboutDetection)
+{
+    // One job asked for on purpose is not a failed thread detection.
+    std::vector<sys::RunSpec> specs = {
+        {"AES", sys::baselineConfig(), kScale},
+        {"FIR", sys::baselineConfig(), kScale},
+    };
+    sys::SweepRunner runner(1);
+    ::testing::internal::CaptureStderr();
+    std::vector<sys::SimResults> results = runner.run(specs);
+    std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(results.size(), 2u);
+    EXPECT_EQ(runner.stats().effectiveJobs, 1u);
+    EXPECT_EQ(err.find("thread detection"), std::string::npos) << err;
+}
